@@ -8,9 +8,7 @@ published IntCal distributions do, are normalised to ascending order.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +54,11 @@ class CalibrationCurve:
         if np.any(c14_sd <= 0):
             i = int(np.argmax(c14_sd <= 0))
             raise CurveFormatError(f"non-positive curve sd at knot {i} (cal BP {cal_age[i]:g})")
+        # The knots interp reads: the mean and sd as one complex array, so
+        # one interpolation serves both.  They stay writable because
+        # np.interp copies read-only inputs on every call; nothing writes them.
+        object.__setattr__(self, "_ages", cal_age.copy())
+        object.__setattr__(self, "_mean_sd", c14_mean + 1j * c14_sd)
         for name, arr in (("cal_age", cal_age), ("c14_mean", c14_mean), ("c14_sd", c14_sd)):
             arr.flags.writeable = False  # immutable after load; safe to share across chains
             object.__setattr__(self, name, arr)
@@ -82,34 +85,20 @@ class CalibrationCurve:
             raise CurveRangeError(
                 f"calendar age {first:g} outside curve support [{lo:g}, {hi:g}]"
             )
-        m = np.interp(theta, self.cal_age, self.c14_mean)
-        rho = np.interp(theta, self.cal_age, self.c14_sd)
+        both = self.interp(theta)
         if theta.ndim == 0:
-            return float(m), float(rho)
-        return m, rho
+            return float(both.real), float(both.imag)
+        # Contiguous copies: strided views of the complex result would slow
+        # every later operation on the grid.
+        return np.ascontiguousarray(both.real), np.ascontiguousarray(both.imag)
 
-    # Scalar fast path for samplers: bisect over cached Python lists avoids
-    # numpy dispatch overhead in the per-evaluation hot loop.
-    @cached_property
-    def _knots(self) -> tuple[list, list, list]:
-        return self.cal_age.tolist(), self.c14_mean.tolist(), self.c14_sd.tolist()
+    def interp(self, theta) -> np.ndarray:
+        """Interpolated ``mean + 1j * sd`` at calendar age(s) ``theta``.
 
-    def at_scalar(self, theta: float) -> tuple[float, float]:
-        """Like :meth:`at` for a single float, minus range checking.
-
-        Caller must guarantee ``theta`` lies inside the support.
+        Like :meth:`at` minus range checking: the caller must keep ``theta``
+        inside the support.  Samplers call this in their hot loop.
         """
-        ages, means, sds = self._knots
-        i = bisect_right(ages, theta) - 1
-        if i >= len(ages) - 1:
-            return means[-1], sds[-1]
-        if i < 0:
-            return means[0], sds[0]
-        frac = (theta - ages[i]) / (ages[i + 1] - ages[i])
-        return (
-            means[i] + frac * (means[i + 1] - means[i]),
-            sds[i] + frac * (sds[i + 1] - sds[i]),
-        )
+        return np.interp(theta, self._ages, self._mean_sd)
 
 
 def load_curve(path) -> CalibrationCurve:

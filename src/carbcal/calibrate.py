@@ -221,9 +221,10 @@ def map_estimates(dets, curve: CalibrationCurve, coarse_resolution: float = COAR
         raise DataError("coarse_resolution must be > 0")
     theta = _grid_over_support(curve, coarse_resolution)
     m, rho = curve.at(theta)
+    rho2 = rho * rho
     out = np.empty(len(dets))
     for k, det in enumerate(dets):
-        var = rho * rho + det.sigma * det.sigma
+        var = rho2 + det.sigma * det.sigma
         loglik = -0.5 * (det.x - m) ** 2 / var - 0.5 * np.log(var)
         out[k] = theta[int(np.argmax(loglik))]
     return out

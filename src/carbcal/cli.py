@@ -89,6 +89,19 @@ class RunManifest:
     version: str
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # named in argparse's "invalid integer value" message
+    return parse
+
+
 def _fmt(value) -> str:
     return repr(float(value))
 
@@ -434,8 +447,8 @@ def build_parser() -> _Parser:
     p_dpmm.add_argument("--iters", type=int, default=50_000)
     p_dpmm.add_argument("--burn", type=int, default=None, help="default: half of --iters")
     p_dpmm.add_argument("--thin", type=int, default=5)
-    p_dpmm.add_argument("--seed", type=int, default=0)
-    p_dpmm.add_argument("--chains", type=int, default=1)
+    p_dpmm.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_dpmm.add_argument("--chains", type=_int_at_least(1), default=1)
     p_dpmm.add_argument("--resolution", type=float, help="output grid spacing in cal yr")
     p_dpmm.add_argument(
         "--hyper",
@@ -453,7 +466,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--iters", type=int, default=10_000)
     p_sim.add_argument("--burn", type=int, default=5_000)
     p_sim.add_argument("--thin", type=int, default=5)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_int_at_least(0), default=0)
     p_sim.add_argument("--jobs", type=int, default=1)
     p_sim.set_defaults(func=_cmd_simulate)
     return parser

@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from carbcal.calcurve import CalibrationCurve
-from carbcal.calibrate import Determination, Hyperparameters, map_estimates
+from carbcal.calibrate import Hyperparameters, map_estimates
 from carbcal.errors import DataError
-from carbcal.slicesample import SliceConfig, slice_sample
+from carbcal.slicesample import SliceConfig, slice_sample_array
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -93,6 +93,11 @@ class ChainConfig:
             raise DataError("need 0 <= n_burn < n_iter")
         if self.thin < 1:
             raise DataError("thin must be >= 1")
+        if self.n_stored < 1:
+            raise DataError(
+                f"thin {self.thin} exceeds the {self.n_iter - self.n_burn} post-burn-in "
+                "iterations; no sample would be stored"
+            )
 
     @property
     def n_stored(self) -> int:
@@ -196,8 +201,11 @@ def _draw_normal_gamma(mu0, lam, nu1, nu2, rng, size=None):
     return phi, tau
 
 
-def _log_base_marginal(theta: float, mu_phi: float, hyper: Hyperparameters) -> float:
-    """Log density of theta with the cluster parameters integrated out."""
+def _log_base_marginal(theta, mu_phi: float, hyper: Hyperparameters, log1p=math.log1p):
+    """Log density of theta with the cluster parameters integrated out.
+
+    Pass ``log1p=np.log1p`` to evaluate an array of ages at once.
+    """
     df = 2.0 * hyper.nu1
     scale2 = hyper.nu2 * (hyper.lam + 1.0) / (hyper.nu1 * hyper.lam)
     z2 = (theta - mu_phi) ** 2 / scale2
@@ -205,7 +213,7 @@ def _log_base_marginal(theta: float, mu_phi: float, hyper: Hyperparameters) -> f
         math.lgamma(0.5 * (df + 1.0))
         - math.lgamma(0.5 * df)
         - 0.5 * math.log(df * math.pi * scale2)
-        - 0.5 * (df + 1.0) * math.log1p(z2 / df)
+        - 0.5 * (df + 1.0) * log1p(z2 / df)
     )
 
 
@@ -218,9 +226,7 @@ def base_marginal(theta, mu_phi: float, hyper: Hyperparameters):
     theta = np.asarray(theta, dtype=float)
     if theta.ndim == 0:
         return math.exp(_log_base_marginal(float(theta), mu_phi, hyper))
-    return np.exp([_log_base_marginal(t, mu_phi, hyper) for t in theta.ravel()]).reshape(
-        theta.shape
-    )
+    return np.exp(_log_base_marginal(theta, mu_phi, hyper, log1p=np.log1p))
 
 
 def _single_obs_posterior_draw(theta_i, mu_phi, hyper, rng):
@@ -248,8 +254,10 @@ def init_state(
 ) -> DpmmState:
     """Initial state: ages at their coarse MAP estimates, labels round-robin.
 
-    Cluster parameters are base draws centred on the prior mean of the
-    overall centring; the concentration starts at a draw from its prior.
+    Cluster parameters are drawn from their conditional given those ages and
+    labels, with the overall centring at its prior mean, so every cluster
+    starts around its members; the concentration starts at a draw from its
+    prior.
     """
     n = len(dets)
     if n < 1:
@@ -265,18 +273,17 @@ def init_state(
     c = relabel[c]
     k = len(occupied)
 
-    mu_phi = hyper.xi
-    phi, tau = _draw_normal_gamma(mu_phi, hyper.lam, hyper.nu1, hyper.nu2, rng, size=k)
     alpha = float(rng.gamma(hyper.eta1, 1.0 / hyper.eta2))
     state = DpmmState(
         theta=theta,
         c=c,
-        phi=np.asarray(phi, dtype=float),
-        tau=np.asarray(tau, dtype=float),
+        phi=np.empty(k),
+        tau=np.empty(k),
         w=np.empty(0),
         alpha=alpha,
-        mu_phi=mu_phi,
+        mu_phi=hyper.xi,
     )
+    update_cluster_params(state, hyper, rng)
     if sampler == "walker":
         walker_update_weights(state, hyper, rng)
     return state
@@ -286,43 +293,40 @@ def init_state(
 # step 1: calendar ages
 
 
-def _theta_log_posterior(det: Determination, curve: CalibrationCurve, phi: float, tau: float):
-    """Conditional log density of one age: curve likelihood times its
-    cluster's normal prior (additive constants dropped)."""
-    x = det.x
-    var_obs = det.sigma * det.sigma
-    at_scalar = curve.at_scalar
-    half_tau = 0.5 * tau
-
-    def log_post(theta):
-        m, rho = at_scalar(theta)
-        var = rho * rho + var_obs
-        resid = x - m
-        dev = theta - phi
-        return -0.5 * (resid * resid / var + math.log(var)) - half_tau * dev * dev
-
-    return log_post
-
-
 def update_theta(
     state: DpmmState,
-    i: int,
-    det: Determination,
+    x: np.ndarray,
+    var_obs: np.ndarray,
     curve: CalibrationCurve,
     hyper: Hyperparameters,
     rng,
     slice_cfg: SliceConfig | None = None,
-) -> float:
-    """Slice-sample one calendar age from its conditional; returns the draw."""
-    j = state.c[i]
-    log_post = _theta_log_posterior(det, curve, float(state.phi[j]), float(state.tau[j]))
+) -> np.ndarray:
+    """Slice-sample every calendar age from its conditional, all at once.
+
+    Given the cluster parameters the ages are independent, each with log
+    density: curve likelihood of its measurement ``x`` (variance ``var_obs``
+    plus the curve variance) times its cluster's normal prior, additive
+    constants dropped.  Returns ``state.theta``, updated in place.
+    """
+    phi = state.phi[state.c]
+    half_tau = 0.5 * state.tau[state.c]
+    interp = curve.interp
+
+    def log_post(theta, index):
+        both = interp(theta)
+        sd = both.imag
+        var = sd * sd + var_obs[index]
+        resid = x[index] - both.real
+        dev = theta - phi[index]
+        return -0.5 * (resid * resid / var + np.log(var)) - half_tau[index] * dev * dev
+
     if slice_cfg is None:
         slice_cfg = SliceConfig(
             width=hyper.slice_width, max_steps=hyper.slice_max_steps, bounds=curve.support
         )
-    new = slice_sample(log_post, float(state.theta[i]), slice_cfg, rng)
-    state.theta[i] = new
-    return new
+    state.theta[:] = slice_sample_array(log_post, state.theta, slice_cfg, rng)
+    return state.theta
 
 
 # ---------------------------------------------------------------------------
@@ -443,26 +447,25 @@ def _extend_sticks(state: DpmmState, hyper: Hyperparameters, rng, min_u: float) 
         state.tau = np.concatenate([state.tau, new_tau])
 
 
-def walker_reallocate(state: DpmmState, i: int, u_i: float, rng) -> int:
-    """Resample one label among sticks heavier than its slice variable.
+def walker_reallocate(state: DpmmState, u: np.ndarray, rng) -> np.ndarray:
+    """Resample every label among the sticks heavier than its slice variable.
 
-    Candidates are weighted by their cluster's normal density alone; the
-    current stick always qualifies, so the candidate set is never empty.
+    Given the slice variables ``u`` the labels are independent: label i is
+    drawn from the sticks with ``w > u[i]``, weighted by their cluster's
+    normal density at age i alone.  Each date's current stick qualifies, so
+    no candidate set is empty.  Returns ``state.c``, updated in place.
     """
-    theta_i = float(state.theta[i])
-    phi = state.phi.tolist()
-    tau = state.tau.tolist()
-    w = state.w.tolist()
-    candidates = []
-    log_w = []
-    for j in range(len(w)):
-        if w[j] > u_i:
-            dev = theta_i - phi[j]
-            candidates.append(j)
-            log_w.append(0.5 * math.log(tau[j]) - 0.5 * tau[j] * dev * dev)
-    choice = candidates[_log_categorical_draw(log_w, rng)]
-    state.c[i] = choice
-    return choice
+    # Sticks past the last one heavier than the smallest u are no candidates.
+    k = int(np.flatnonzero(state.w > u.min())[-1]) + 1
+    phi, tau, w = state.phi[:k], state.tau[:k], state.w[:k]
+    dev = state.theta[:, None] - phi
+    log_w = np.where(w > u[:, None], 0.5 * np.log(tau) - 0.5 * tau * dev * dev, -np.inf)
+    cdf = np.cumsum(np.exp(log_w - log_w.max(axis=1, keepdims=True)), axis=1)
+    # The uniform lies in (0, 1], so the target is positive and the first
+    # stick whose cumulative weight reaches it is a candidate.
+    target = (1.0 - rng.random(len(u))) * cdf[:, -1]
+    state.c[:] = (cdf < target[:, None]).sum(axis=1)
+    return state.c
 
 
 def _trim_tail_sticks(state: DpmmState) -> None:
@@ -644,6 +647,8 @@ def run_chain(dets, curve: CalibrationCurve, cfg: ChainConfig) -> PosteriorSampl
     rng = np.random.default_rng(cfg.seed)
     hyper = cfg.hyper
     n = len(dets)
+    x = np.array([d.x for d in dets])
+    var_obs = np.array([d.sigma * d.sigma for d in dets])
     theta_map = map_estimates(dets, curve)
     state = init_state(dets, curve, hyper, rng, sampler=cfg.sampler, theta_map=theta_map)
 
@@ -656,8 +661,7 @@ def run_chain(dets, curve: CalibrationCurve, cfg: ChainConfig) -> PosteriorSampl
     )
 
     for it in range(1, cfg.n_iter + 1):
-        for i in range(n):
-            update_theta(state, i, dets[i], curve, hyper, rng, slice_cfg=slice_cfg)
+        update_theta(state, x, var_obs, curve, hyper, rng, slice_cfg=slice_cfg)
 
         if cfg.sampler == "polya":
             for i in range(n):
@@ -667,8 +671,7 @@ def run_chain(dets, curve: CalibrationCurve, cfg: ChainConfig) -> PosteriorSampl
             walker_update_weights(state, hyper, rng)
             u = (1.0 - rng.random(n)) * state.w[state.c]
             _extend_sticks(state, hyper, rng, float(u.min()))
-            for i in range(n):
-                walker_reallocate(state, i, float(u[i]), rng)
+            walker_reallocate(state, u, rng)
             update_cluster_params(state, hyper, rng)
             _trim_tail_sticks(state)
 

@@ -5,12 +5,18 @@ expands an initial interval in width-sized steps until both ends leave the
 slice (or a step/bound limit is hit), then samples uniformly inside,
 shrinking on rejections.  Non-finite log densities at proposals are treated
 as "outside the slice", never as errors.
+
+``slice_sample`` advances one chain; ``slice_sample_array`` advances many
+independent chains (one per coordinate of a vector) by the same kernel, with
+one log-density call per pass over the coordinates still in flight.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -95,4 +101,81 @@ def slice_sample(log_density, current: float, cfg: SliceConfig, rng) -> float:
     and always lies within ``cfg.bounds``.
     """
     new, _ = _slice_step(log_density, current, cfg, rng)
+    return new
+
+
+def slice_sample_array(log_density, current, cfg: SliceConfig, rng) -> np.ndarray:
+    """One slice-sampling transition of each coordinate of ``current``.
+
+    The coordinates are independent chains sharing ``cfg``; each follows
+    the kernel of :func:`slice_sample` (same width, per-side step cap,
+    bounds, shrinkage toward the current point, NaN outside the slice).
+
+    Parameters
+    ----------
+    log_density : callable
+        ``log_density(points, index)`` returns the log densities of the
+        coordinates ``index`` (an integer array) at ``points`` (a float
+        array of the same length).
+    current : array_like
+        Current states; each must have finite log density and lie within
+        bounds.
+    cfg : SliceConfig
+    rng : numpy.random.Generator
+
+    Returns the new states as a new array.
+    """
+    current = np.asarray(current, dtype=float)
+    n = current.size
+    index = np.arange(n)
+    lp0 = np.asarray(log_density(current, index), dtype=float)
+    if not np.all(np.isfinite(lp0)):
+        bad = int(np.argmin(np.isfinite(lp0)))
+        raise ValueError(f"log density not finite at starting point {current[bad]!r}")
+    z = lp0 - rng.standard_exponential(n)
+
+    lo, hi = cfg.bounds if cfg.bounds is not None else (-math.inf, math.inf)
+    width = cfg.width
+    left = current - width * rng.random(n)
+    right = left + width
+    np.maximum(left, lo, out=left)
+    np.minimum(right, hi, out=right)
+
+    # Stepping out: each pass evaluates every end still growing, both sides
+    # in one call; an end stops at its first point off the slice, at the
+    # bound, or after max_steps expansions.
+    grow_left = index[left > lo]
+    grow_right = index[right < hi]
+    for _ in range(cfg.max_steps):
+        n_left = grow_left.size
+        if n_left + grow_right.size == 0:
+            break
+        which = np.concatenate([grow_left, grow_right])
+        ends = np.concatenate([left[grow_left], right[grow_right]])
+        inside = log_density(ends, which) > z[which]  # NaN compares False
+        grow_left = grow_left[inside[:n_left]]
+        grow_right = grow_right[inside[n_left:]]
+        left[grow_left] = np.maximum(left[grow_left] - width, lo)
+        right[grow_right] = np.minimum(right[grow_right] + width, hi)
+        grow_left = grow_left[left[grow_left] > lo]
+        grow_right = grow_right[right[grow_right] < hi]
+
+    # Shrinkage: propose uniformly in each open interval; a rejected
+    # proposal becomes the end on its side of the current point.  The
+    # working arrays hold only the coordinates still in flight.
+    new = current.copy()
+    active, start = index, current
+    while active.size:
+        proposal = left + rng.random(active.size) * (right - left)
+        accepted = log_density(proposal, active) > z
+        new[active[accepted]] = proposal[accepted]
+        below = proposal < start
+        left = np.where(below, proposal, left)
+        right = np.where(below, right, proposal)
+        # A proposal equal to the start means the interval shrank onto the
+        # start, which is on the slice by construction (fp underflow only);
+        # such a coordinate keeps its current value.
+        going = ~accepted & (proposal != start)
+        active, start, z = active[going], start[going], z[going]
+        left, right = left[going], right[going]
     return new

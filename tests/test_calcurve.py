@@ -96,9 +96,21 @@ def test_at_vectorised_matches_scalar():
         m, rho = curve.at(float(t))
         assert m == pytest.approx(m_vec[k])
         assert rho == pytest.approx(rho_vec[k])
-        m2, rho2 = curve.at_scalar(float(t))
-        assert m2 == pytest.approx(m_vec[k])
-        assert rho2 == pytest.approx(rho_vec[k])
+        both = curve.interp(float(t))
+        assert both.real == pytest.approx(m_vec[k])
+        assert both.imag == pytest.approx(rho_vec[k])
+
+
+def test_interp_matches_separate_real_interpolations(synth_curve):
+    theta = np.random.default_rng(4).uniform(*synth_curve.support, size=10_000)
+    both = synth_curve.interp(theta)
+    m = np.interp(theta, synth_curve.cal_age, synth_curve.c14_mean)
+    rho = np.interp(theta, synth_curve.cal_age, synth_curve.c14_sd)
+    assert np.allclose(both.real, m, rtol=1e-15, atol=0.0)
+    assert np.allclose(both.imag, rho, rtol=1e-15, atol=0.0)
+    at_knots = synth_curve.interp(synth_curve.cal_age)
+    assert np.array_equal(at_knots.real, synth_curve.c14_mean)
+    assert np.array_equal(at_knots.imag, synth_curve.c14_sd)
 
 
 @settings(max_examples=200, deadline=None)

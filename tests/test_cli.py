@@ -285,3 +285,42 @@ def test_manifest_written_before_long_computation(
     with pytest.raises(KeyboardInterrupt):
         main(dpmm_args(dets_file_multi, synth_curve_file, out))
     assert (out / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("subcommand", ["dpmm", "simulate"])
+def test_negative_seed_is_usage_error(
+    tmp_path, dets_file_multi, synth_curve_file, subcommand, capsys
+):
+    out = tmp_path / "run"
+    if subcommand == "dpmm":
+        args = dpmm_args(dets_file_multi, synth_curve_file, out, seed=-1)
+    else:
+        args = ["simulate", "--curve", str(synth_curve_file), "--out", str(out), "--seed", "-1"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_chains_is_usage_error_before_manifest(tmp_path, dets_file_multi, synth_curve_file):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(dpmm_args(dets_file_multi, synth_curve_file, out, chains=0))
+    assert exc.value.code == 1
+    assert not (out / "manifest.json").exists()
+
+
+def test_thin_beyond_post_burn_iterations_fails_before_chain(
+    tmp_path, dets_file_multi, synth_curve_file, monkeypatch
+):
+    import carbcal.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("chain started")
+
+    monkeypatch.setattr(cli, "run_chain", must_not_run)
+    out = tmp_path / "run"
+    rc = main(dpmm_args(dets_file_multi, synth_curve_file, out, iters=10, burn=5, thin=6))
+    assert rc == 2
+    assert not (out / "manifest.json").exists()

@@ -5,7 +5,13 @@ import pytest
 from scipy import stats
 
 import oracles
-from carbcal.calibrate import Determination, Hyperparameters
+from carbcal.calibrate import (
+    Determination,
+    Hyperparameters,
+    default_hyperparameters,
+    likelihood,
+    map_estimates,
+)
 from carbcal.dpmm import (
     ChainConfig,
     DpmmState,
@@ -27,6 +33,7 @@ from carbcal.dpmm import (
     walker_update_weights,
 )
 from carbcal.errors import DataError
+from carbcal.simstudy import gen_scenario
 from conftest import make_linear_curve
 
 
@@ -43,6 +50,11 @@ def simple_hyper(**overrides):
     )
     base.update(overrides)
     return Hyperparameters(**base)
+
+
+def observations(*dets):
+    """Measurement and variance arrays in the form update_theta takes."""
+    return np.array([d.x for d in dets]), np.array([d.sigma**2 for d in dets])
 
 
 def fixed_theta_state(thetas, labels, phi, tau, alpha=1.0, mu_phi=500.0):
@@ -89,6 +101,26 @@ def test_init_thetas_within_support(synth_curve):
     assert state.w.sum() < 1.0
 
 
+def test_init_clusters_keep_first_age_update_on_the_likelihood(synth_curve):
+    # Initial clusters drawn from the prior alone could sit far from their
+    # round-robin members with an sd of a few years; the first age update then
+    # dragged ages to where their likelihood is negligible, and some stayed
+    # there for thousands of sweeps.  Clusters drawn given their members keep
+    # every age where its measurement put it.
+    scenario = gen_scenario("single_normal", 50, synth_curve, np.random.default_rng(2025))
+    dets = scenario.dets
+    hyper = default_hyperparameters(dets, synth_curve)
+    theta_map = map_estimates(dets, synth_curve)
+    x, var_obs = observations(*dets)
+    at_map = np.array([likelihood(d, synth_curve, t) for d, t in zip(dets, theta_map)])
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        state = init_state(dets, synth_curve, hyper, rng, sampler="walker", theta_map=theta_map)
+        update_theta(state, x, var_obs, synth_curve, hyper, rng)
+        at_new = np.array([likelihood(d, synth_curve, t) for d, t in zip(dets, state.theta)])
+        assert np.all(at_new > np.exp(-30.0) * at_map)
+
+
 # ---------------------------------------------------------------------------
 # update_theta (step 1)
 
@@ -99,11 +131,12 @@ def test_update_theta_flat_curve_matches_truncated_normal(flat_curve):
     phi, sd = 500.0, 150.0
     hyper = simple_hyper(slice_width=200.0)
     det = Determination("a", 2000.0, 25.0)
+    x, var_obs = observations(det)
     state = fixed_theta_state([500.0], [0], [phi], [sd**-2])
     rng = np.random.default_rng(42)
     draws = np.empty(30_000)
     for k in range(30_000):
-        draws[k] = update_theta(state, 0, det, flat_curve, hyper, rng)
+        draws[k] = update_theta(state, x, var_obs, flat_curve, hyper, rng)[0]
     truncated = stats.truncnorm((0 - phi) / sd, (1000 - phi) / sd, loc=phi, scale=sd)
     ks = stats.kstest(draws[::3], truncated.cdf).statistic
     assert ks < 0.02
@@ -113,9 +146,12 @@ def test_update_theta_flat_curve_matches_truncated_normal(flat_curve):
 def test_update_theta_degenerate_prior_pins_age(flat_curve):
     hyper = simple_hyper()
     det = Determination("a", 2000.0, 25.0)
+    x, var_obs = observations(det)
     state = fixed_theta_state([500.0], [0], [500.0], [1e8])
     rng = np.random.default_rng(1)
-    draws = np.array([update_theta(state, 0, det, flat_curve, hyper, rng) for _ in range(500)])
+    draws = np.array(
+        [update_theta(state, x, var_obs, flat_curve, hyper, rng)[0] for _ in range(500)]
+    )
     assert np.all(np.abs(draws - 500.0) < 1e-3)
     assert np.abs(draws - 500.0).std() < 2e-4
 
@@ -127,10 +163,11 @@ def test_update_theta_identity_curve_conjugate_posterior():
     x = 5000.0
     det = Determination("a", x, sigma)
     hyper = simple_hyper(slice_width=150.0)
+    x_obs, var_obs = observations(det)
     state = fixed_theta_state([5000.0], [0], [phi], [tau])
     rng = np.random.default_rng(7)
     draws = np.array(
-        [update_theta(state, 0, det, curve, hyper, rng) for _ in range(40_000)]
+        [update_theta(state, x_obs, var_obs, curve, hyper, rng)[0] for _ in range(40_000)]
     )
     prec = sigma**-2 + tau
     post_mean = (sigma**-2 * x + tau * phi) / prec
@@ -138,6 +175,30 @@ def test_update_theta_identity_curve_conjugate_posterior():
     assert draws[5000:].mean() == pytest.approx(post_mean, abs=4 * post_sd / math.sqrt(35_000 / 3))
     ks = stats.kstest(draws[5000::3], stats.norm(post_mean, post_sd).cdf).statistic
     assert ks < 0.02
+
+
+def test_update_theta_all_dates_follow_their_own_conditionals():
+    # Three dates in different clusters, updated together: each age must
+    # follow its own normal-normal posterior on the identity curve.
+    curve = make_linear_curve(0, 10_000, sd=1e-6)
+    dets = [
+        Determination("a", 5000.0, 30.0),
+        Determination("b", 2000.0, 50.0),
+        Determination("c", 7000.0, 20.0),
+    ]
+    x, var_obs = observations(*dets)
+    phi, tau = np.array([5200.0, 1900.0, 7000.0]), np.array([80.0, 40.0, 1e3]) ** -2.0
+    state = fixed_theta_state(x.copy(), [0, 1, 2], phi, tau)
+    hyper = simple_hyper(slice_width=150.0)
+    rng = np.random.default_rng(70)
+    draws = np.array(
+        [update_theta(state, x, var_obs, curve, hyper, rng).copy() for _ in range(40_000)]
+    )
+    prec = 1.0 / var_obs + tau
+    post_mean = (x / var_obs + tau * phi) / prec
+    for i in range(3):
+        ks = stats.kstest(draws[5000::3, i], stats.norm(post_mean[i], prec[i] ** -0.5).cdf)
+        assert ks.statistic < 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +216,15 @@ def test_base_marginal_centre_value():
     assert base_marginal(0.0, 0.0, hyper) == pytest.approx(
         stats.t.pdf(0.0, df, loc=0.0, scale=scale), rel=1e-12
     )
+
+
+def test_base_marginal_array_matches_scalar():
+    hyper = simple_hyper()
+    theta = np.linspace(-3000.0, 4000.0, 707).reshape(7, 101)
+    out = base_marginal(theta, 350.0, hyper)
+    assert out.shape == theta.shape
+    scalar = np.array([base_marginal(float(t), 350.0, hyper) for t in theta.ravel()])
+    assert np.allclose(out.ravel(), scalar, rtol=1e-12, atol=0.0)
 
 
 def test_base_marginal_symmetry():
@@ -309,15 +379,47 @@ def test_walker_reallocate_singleton_candidate_set():
     state.w = np.array([0.999])
     rng = np.random.default_rng(10)
     for _ in range(50):
-        assert walker_reallocate(state, 0, 0.5, rng) == 0
+        assert walker_reallocate(state, np.array([0.5]), rng).tolist() == [0]
 
 
 def test_walker_reallocate_symmetric_sticks_uniform():
     state = fixed_theta_state([500.0], [0], [500.0, 500.0], [1e-4, 1e-4])
     state.w = np.array([0.4, 0.4])
     rng = np.random.default_rng(11)
-    picks = np.array([walker_reallocate(state, 0, 0.1, rng) for _ in range(20_000)])
+    picks = np.array(
+        [walker_reallocate(state, np.array([0.1]), rng)[0] for _ in range(20_000)]
+    )
     assert abs((picks == 0).mean() - 0.5) < 0.02
+
+
+def test_walker_reallocate_never_draws_stick_at_or_below_slice():
+    # Sticks 1 and 3 sit exactly on and below the slice variable but carry
+    # the only non-negligible normal density; they must still never be drawn.
+    thetas = np.full(500, 900.0)
+    state = fixed_theta_state(
+        thetas, np.zeros(500), [100.0, 900.0, 300.0, 900.0], [1e-2, 1e-2, 1e-2, 1e-2]
+    )
+    state.w = np.array([0.3, 0.1, 0.3, 0.05])
+    u = np.full(500, 0.1)
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        labels = walker_reallocate(state, u, rng)
+        assert set(labels.tolist()) <= {0, 2}
+
+
+def test_walker_reallocate_per_date_candidate_sets():
+    # Dates with different slice variables see different candidate sets.
+    state = fixed_theta_state([500.0] * 3, [0, 0, 0], [500.0] * 3, [1e-4] * 3)
+    state.w = np.array([0.5, 0.3, 0.1])
+    u = np.array([0.4, 0.2, 0.05])
+    rng = np.random.default_rng(13)
+    picks = np.array([walker_reallocate(state, u, rng).copy() for _ in range(6_000)])
+    assert np.all(picks[:, 0] == 0)
+    assert set(picks[:, 1].tolist()) == {0, 1}
+    assert set(picks[:, 2].tolist()) == {0, 1, 2}
+    # equal normal densities: uniform over each candidate set
+    assert abs((picks[:, 1] == 0).mean() - 0.5) < 0.03
+    assert abs((picks[:, 2] == 2).mean() - 1 / 3) < 0.03
 
 
 def test_walker_tail_trim_keeps_interior_empties():
@@ -348,8 +450,7 @@ def test_walker_partition_posterior_matches_enumeration():
         walker_update_weights(state, hyper, rng)
         u = (1.0 - rng.random(4)) * state.w[state.c]
         _extend_sticks(state, hyper, rng, float(u.min()))
-        for i in range(4):
-            walker_reallocate(state, i, float(u[i]), rng)
+        walker_reallocate(state, u, rng)
         update_cluster_params(state, hyper, rng)
         _trim_tail_sticks(state)
         _update_alpha_walker(state, hyper, rng)
@@ -522,8 +623,6 @@ def chain_setup(synth_curve, n=8):
     from carbcal.synthetic import sample_determinations
 
     dets = sample_determinations(truth, synth_curve, 25.0, rng)
-    from carbcal.calibrate import default_hyperparameters
-
     return dets, default_hyperparameters(dets, synth_curve)
 
 
@@ -581,6 +680,9 @@ def test_chain_config_validation(synth_curve):
         ChainConfig(n_iter=10, n_burn=0, thin=0, sampler="polya", seed=0, hyper=hyper)
     with pytest.raises(DataError):
         ChainConfig(n_iter=10, n_burn=0, thin=1, sampler="bogus", seed=0, hyper=hyper)
+    # thin longer than the post-burn-in run would store nothing
+    with pytest.raises(DataError, match="no sample would be stored"):
+        ChainConfig(n_iter=10, n_burn=5, thin=6, sampler="polya", seed=0, hyper=hyper)
 
 
 @pytest.mark.parametrize("sampler", ["polya", "walker"])

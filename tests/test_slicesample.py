@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from carbcal.slicesample import SliceConfig, _slice_step, slice_sample
+from carbcal.slicesample import SliceConfig, _slice_step, slice_sample, slice_sample_array
 
 
 def run_chain(log_density, start, cfg, rng, n_keep, thin=1):
@@ -144,3 +144,123 @@ def test_discretised_target_stationarity():
         pi = pi @ kernel
     tv = 0.5 * np.abs(pi - target).sum()
     assert tv < 0.01
+
+
+# ---------------------------------------------------------------------------
+# array kernel: many independent chains advanced together
+
+
+def run_array_chains(log_density, start, cfg, rng, burn, n_snapshots, thin):
+    """Advance all chains ``burn`` steps, then pool ``n_snapshots`` states
+    taken every ``thin`` steps."""
+    x = np.asarray(start, dtype=float)
+    for _ in range(burn):
+        x = slice_sample_array(log_density, x, cfg, rng)
+    pooled = []
+    for _ in range(n_snapshots):
+        for _ in range(thin):
+            x = slice_sample_array(log_density, x, cfg, rng)
+        pooled.append(x)
+    return np.concatenate(pooled)
+
+
+def test_array_standard_normal_ks():
+    rng = np.random.default_rng(101)
+    cfg = SliceConfig(width=2.0)
+    draws = run_array_chains(
+        lambda x, index: -0.5 * x * x, np.zeros(2000), cfg, rng, burn=30, n_snapshots=25, thin=3
+    )
+    assert abs(draws.mean()) < 0.03
+    assert abs(draws.std() - 1.0) < 0.03
+    assert stats.kstest(draws, "norm").statistic < 0.02
+
+
+def test_array_well_separated_bimodal_ks_and_mode_masses():
+    rng = np.random.default_rng(2024)
+    cfg = SliceConfig(width=5.0)
+    draws = run_array_chains(
+        lambda x, index: bimodal_logpdf(x),
+        np.full(2000, 3.0),
+        cfg,
+        rng,
+        burn=300,
+        n_snapshots=25,
+        thin=10,
+    )
+    assert abs(float((draws > 0).mean()) - 0.5) < 0.05
+    mix_cdf = lambda x: 0.5 * stats.norm.cdf(x, -3.0, 1.0) + 0.5 * stats.norm.cdf(x, 3.0, 1.0)
+    assert stats.kstest(draws, mix_cdf).statistic < 0.02
+
+
+def test_array_chains_use_their_own_densities():
+    # Coordinate i targets N(i, 1); the index argument selects the density.
+    means = np.arange(5, dtype=float) * 10.0
+    rng = np.random.default_rng(8)
+    draws = run_array_chains(
+        lambda x, index: -0.5 * (x - means[index]) ** 2,
+        means + 3.0,
+        SliceConfig(width=2.0),
+        rng,
+        burn=20,
+        n_snapshots=4000,
+        thin=3,
+    ).reshape(4000, 5)
+    for i, mean in enumerate(means):
+        assert stats.kstest(draws[:, i] - mean, "norm").statistic < 0.03
+
+
+def test_array_uniform_target_respects_bounds():
+    rng = np.random.default_rng(7)
+    a, b = 2.0, 5.0
+    cfg = SliceConfig(width=10.0, bounds=(a, b))
+    draws = run_array_chains(
+        lambda x, index: np.zeros_like(x), np.full(500, 3.0), cfg, rng, burn=0, n_snapshots=10, thin=1
+    )
+    assert draws.min() >= a
+    assert draws.max() <= b
+    ks = stats.kstest(draws, stats.uniform(loc=a, scale=b - a).cdf).statistic
+    assert ks < 0.03
+
+
+def test_array_stepping_out_never_exceeds_max_steps_or_bounds():
+    rng = np.random.default_rng(9)
+    cfg = SliceConfig(width=1.0, max_steps=4, bounds=(-100.0, 100.0))
+    n = 200
+    evaluated = [[] for _ in range(n)]
+
+    def log_density(x, index):
+        for i, point in zip(index.tolist(), x.tolist()):
+            evaluated[i].append(point)
+        return np.zeros_like(x)  # flat: stepping out would expand forever without the cap
+
+    new = slice_sample_array(log_density, np.zeros(n), cfg, rng)
+    assert np.all((new >= -100.0) & (new <= 100.0))
+    for points in evaluated:
+        # start + at most max_steps per side + one accepted proposal
+        assert len(points) <= 1 + 2 * cfg.max_steps + 1
+        assert min(points) >= -(1 + cfg.max_steps) * cfg.width
+        assert max(points) <= (1 + cfg.max_steps) * cfg.width
+
+
+def test_array_nan_density_treated_as_outside_slice():
+    rng = np.random.default_rng(11)
+
+    def log_density(x, index):
+        return np.where(x < 0, np.nan, -0.5 * x * x)
+
+    cfg = SliceConfig(width=4.0)
+    draws = run_array_chains(
+        log_density, np.ones(200), cfg, rng, burn=0, n_snapshots=20, thin=1
+    )
+    assert np.all(draws >= 0)
+
+
+def test_array_invalid_start_raises():
+    rng = np.random.default_rng(3)
+    cfg = SliceConfig(width=1.0)
+    with pytest.raises(ValueError):
+        slice_sample_array(
+            lambda x, index: np.where(index == 2, -math.inf, 0.0), np.zeros(4), cfg, rng
+        )
+    with pytest.raises(ValueError):
+        slice_sample_array(lambda x, index: np.full(x.shape, np.nan), np.zeros(3), cfg, rng)
