@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -37,6 +37,8 @@ class Determination:
     sigma: float  # 14C yr, > 0
 
     def __post_init__(self):
+        if "\n" in self.id or "\r" in self.id:
+            raise DataError(f"determination {self.id!r}: id must not contain a line break")
         if not math.isfinite(self.x):
             raise DataError(f"determination {self.id!r}: radiocarbon age must be finite")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
@@ -95,12 +97,6 @@ class Hyperparameters:
         if self.n_init_clusters < 1:
             raise DataError("n_init_clusters must be >= 1")
 
-    def with_overrides(self, **kwargs) -> "Hyperparameters":
-        """Copy with the given fields replaced (``lambda`` accepted for lam)."""
-        if "lambda" in kwargs:
-            kwargs["lam"] = kwargs.pop("lambda")
-        return replace(self, **kwargs)
-
 
 def read_determinations(path) -> list[Determination]:
     """Read a ``id,c14_age,c14_sig`` CSV file of determinations."""
@@ -132,6 +128,30 @@ def read_determinations(path) -> list[Determination]:
     return dets
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a CSV file: fields quoted where needed, floats in round-trip form.
+
+    ``rows`` is an iterable of rows, or a 2-D numeric array.  Numbers never
+    need quoting, so an array is formatted in blocks of cells without the
+    csv module's per-field work, which would make the 11001-row posterior
+    grids take half as long again to write.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        if isinstance(rows, np.ndarray):
+            width = rows.shape[1]
+            step = 1 + (1 << 16) // width
+            for start in range(0, len(rows), step):
+                cells = map(repr, rows[start : start + step].ravel().tolist())
+                # zip over ``width`` references to one iterator groups the cells by row
+                fh.write("\n".join(map(",".join, zip(*[cells] * width))) + "\n")
+        else:
+            writer.writerows(
+                [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
+            )
+
+
 def likelihood(det: Determination, curve: CalibrationCurve, theta):
     """Measurement density of ``det.x`` at calendar age(s) theta.
 
@@ -158,7 +178,14 @@ def calibrate_independent(
         raise DataError("resolution must be > 0")
     theta = _grid_over_support(curve, resolution)
     density = likelihood(det, curve, theta)
-    density = density / (density.sum() * resolution)
+    total = density.sum()
+    if not (math.isfinite(total) and total > 0):
+        lo, hi = curve.support
+        raise DataError(
+            f"determination {det.id!r}: radiocarbon age {det.x:g} has no likelihood "
+            f"mass on the curve support [{lo:g}, {hi:g}]"
+        )
+    density = density / (total * resolution)
     return DensityGrid(theta, density, resolution)
 
 
@@ -210,6 +237,17 @@ def hpd_intervals(grid: DensityGrid, level: float) -> list[tuple[float, float, f
         (float(grid.theta[a]), float(grid.theta[b]), float(cell_mass[a : b + 1].sum()))
         for a, b in intervals
     ]
+
+
+def hpd_from_draws(draws: np.ndarray, resolution: float, level: float):
+    """HPD intervals of sampled values: histogram them onto a grid, then threshold."""
+    lo = math.floor(draws.min() / resolution) * resolution
+    hi = math.ceil(draws.max() / resolution) * resolution
+    edges = np.arange(lo - 0.5 * resolution, hi + resolution, resolution)
+    centres = 0.5 * (edges[:-1] + edges[1:])
+    counts, _ = np.histogram(draws, bins=edges)
+    density = counts / (counts.sum() * resolution)
+    return hpd_intervals(DensityGrid(centres, density, resolution), level)
 
 
 def map_estimates(dets, curve: CalibrationCurve, coarse_resolution: float = COARSE_RESOLUTION):

@@ -1,10 +1,11 @@
 """Command-line surface: calibrate, spd, dpmm, simulate.
 
 Every subcommand writes a run manifest into the output directory before any
-long computation starts, so an interrupted run can still be reproduced.
-Numeric output uses round-trip float formatting to keep reruns and
-cross-machine diffs meaningful.  Exit codes: 0 success, 1 usage, 2 data
-error, 3 internal error.
+long computation starts (``_start_run``), so an interrupted run can still be
+reproduced.  Every CSV output goes through ``carbcal.calibrate.write_csv``,
+which quotes fields where needed and formats floats in round-trip form, to
+keep reruns and cross-machine diffs meaningful.  Exit codes: 0 success,
+1 usage, 2 data error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import re
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +31,12 @@ from carbcal.calibrate import (
     calibrate_independent,
     default_hyperparameters,
     default_resolution,
+    hpd_from_draws,
     hpd_intervals,
     map_estimates,
     read_determinations,
     spd,
+    write_csv,
 )
 from carbcal.dpmm import ChainConfig, run_chain
 from carbcal.errors import CarbcalError, DataError
@@ -52,18 +54,10 @@ EXIT_INTERNAL = 3
 
 HPD_LEVELS = (0.683, 0.954)
 
+#: ``--hyper`` key -> parser; ``lambda`` names the field ``lam``.
 _HYPER_KEYS = {
-    "lambda": float,
-    "nu1": float,
-    "nu2": float,
-    "xi": float,
-    "psi": float,
-    "eta1": float,
-    "eta2": float,
-    "slice_width": float,
-    "slice_max_steps": int,
-    "alpha_prop_sd": float,
-    "n_init_clusters": int,
+    "lambda" if f.name == "lam" else f.name: int if f.type in (int, "int") else float
+    for f in fields(Hyperparameters)
 }
 
 
@@ -74,19 +68,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run bit-exactly."""
-
-    subcommand: str
-    inputs: list
-    curve: str
-    config: dict
-    seed: int | None
-    output_dir: str
-    version: str
 
 
 def _int_at_least(minimum: int):
@@ -102,44 +83,41 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
 def _safe_id(raw: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", raw) or "unnamed"
 
 
-def _resolve_outdir(out, force: bool, seed) -> Path:
-    if out is not None:
-        outdir = Path(out)
+def _start_run(args, config: dict, seed=None) -> Path:
+    """Create the output directory and write the manifest that reproduces the run."""
+    if args.out is not None:
+        outdir = Path(args.out)
     else:
         tag = hashlib.sha1(str(seed).encode()).hexdigest()[:8]
         outdir = Path(f"carbcal-{time.strftime('%Y%m%d-%H%M%S')}-{tag}")
-    if outdir.exists() and any(outdir.iterdir()) and not force:
+    if outdir.exists() and any(outdir.iterdir()) and not args.force:
         raise DataError(f"output directory {outdir} exists and is not empty; use --force")
     outdir.mkdir(parents=True, exist_ok=True)
+    manifest = {
+        "subcommand": args.subcommand,
+        "inputs": [str(args.determinations)] if "determinations" in args else [],
+        "curve": str(args.curve),
+        "config": config,
+        "seed": seed,
+        "output_dir": str(outdir),
+        "version": carbcal.__version__,
+    }
+    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
     return outdir
 
 
-def _write_manifest(outdir: Path, manifest: RunManifest) -> None:
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(manifest), fh, indent=2)
-        fh.write("\n")
-
-
 def _write_grid(grid: DensityGrid, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("cal_age,density\n")
-        for t, d in zip(grid.theta, grid.density):
-            fh.write(f"{_fmt(t)},{_fmt(d)}\n")
+    write_csv(path, ["cal_age", "density"], np.column_stack((grid.theta, grid.density)))
 
 
 def _write_hpd(intervals, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lo,hi,mass\n")
-        for lo, hi, mass in intervals:
-            fh.write(f"{_fmt(lo)},{_fmt(hi)},{_fmt(mass)}\n")
+    write_csv(path, ["lo", "hi", "mass"], intervals)
 
 
 def _parse_hyper_overrides(pairs) -> dict:
@@ -154,29 +132,28 @@ def _parse_hyper_overrides(pairs) -> dict:
                 f"unknown hyperparameter {key!r}; valid keys: {', '.join(sorted(_HYPER_KEYS))}"
             )
         try:
-            overrides[key] = _HYPER_KEYS[key](raw)
+            overrides["lam" if key == "lambda" else key] = _HYPER_KEYS[key](raw)
         except ValueError:
             raise DataError(f"--hyper {key}: cannot parse {raw!r}")
     return overrides
 
 
 def _resolve_hyper(dets, curve, overrides: dict) -> Hyperparameters:
-    """Adaptive defaults, overridden key by key; or fully manual."""
-    required = {"lambda", "nu1", "nu2", "xi", "psi"}
+    """Adaptive defaults, overridden field by field; or fully manual."""
+    required = {f.name for f in fields(Hyperparameters) if f.default is MISSING}
     try:
         hyper = default_hyperparameters(dets, curve)
     except DataError:
         if required <= overrides.keys():
-            kwargs = dict(overrides)
-            kwargs["lam"] = kwargs.pop("lambda")
-            return Hyperparameters(**kwargs)
+            return Hyperparameters(**overrides)
         raise
-    return hyper.with_overrides(**overrides)
+    return replace(hyper, **overrides)
 
 
 def _add_common(parser, needs_dets=True):
     if needs_dets:
         parser.add_argument("determinations", help="CSV file: id,c14_age,c14_sig")
+        parser.add_argument("--resolution", type=float, help="output grid spacing in cal yr")
     parser.add_argument(
         "--curve",
         default=os.environ.get("CARBCAL_CURVE"),
@@ -192,6 +169,14 @@ def _require_curve(args, parser):
     return load_curve(args.curve)
 
 
+def _resolution(args, curve) -> float:
+    """``--resolution``, or the default grid spacing for the curve's span."""
+    resolution = args.resolution or default_resolution(curve.support[1] - curve.support[0])
+    if not resolution > 0:
+        raise DataError(f"--resolution must be > 0, got {resolution:g}")
+    return resolution
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -199,23 +184,21 @@ def _require_curve(args, parser):
 def _cmd_calibrate(args, parser) -> int:
     curve = _require_curve(args, parser)
     dets = read_determinations(args.determinations)
-    resolution = args.resolution or default_resolution(curve.support[1] - curve.support[0])
-    outdir = _resolve_outdir(args.out, args.force, seed=None)
-    _write_manifest(
-        outdir,
-        RunManifest(
-            subcommand="calibrate",
-            inputs=[str(args.determinations)],
-            curve=str(args.curve),
-            config={"resolution": resolution, "hpd_levels": list(HPD_LEVELS)},
-            seed=None,
-            output_dir=str(outdir),
-            version=carbcal.__version__,
-        ),
-    )
+    by_stem = {}
     for det in dets:
-        grid = calibrate_independent(det, curve, resolution)
-        stem = _safe_id(det.id)
+        first = by_stem.setdefault(_safe_id(det.id), det)
+        if first is not det:
+            raise DataError(
+                f"{args.determinations}: ids {first.id!r} and {det.id!r} "
+                f"would both write {_safe_id(det.id)}_posterior.csv"
+            )
+    resolution = _resolution(args, curve)
+    outdir = _start_run(args, {"resolution": resolution, "hpd_levels": list(HPD_LEVELS)})
+    for stem, det in by_stem.items():
+        try:
+            grid = calibrate_independent(det, curve, resolution)
+        except DataError as exc:
+            raise DataError(f"{args.determinations}: {exc}") from None
         _write_grid(grid, outdir / f"{stem}_posterior.csv")
         for level in HPD_LEVELS:
             _write_hpd(hpd_intervals(grid, level), outdir / f"{stem}_hpd_{level}.csv")
@@ -226,68 +209,25 @@ def _cmd_calibrate(args, parser) -> int:
 def _cmd_spd(args, parser) -> int:
     curve = _require_curve(args, parser)
     dets = read_determinations(args.determinations)
-    resolution = args.resolution or default_resolution(curve.support[1] - curve.support[0])
-    outdir = _resolve_outdir(args.out, args.force, seed=None)
-    _write_manifest(
-        outdir,
-        RunManifest(
-            subcommand="spd",
-            inputs=[str(args.determinations)],
-            curve=str(args.curve),
-            config={"resolution": resolution},
-            seed=None,
-            output_dir=str(outdir),
-            version=carbcal.__version__,
-        ),
-    )
-    _write_grid(spd(dets, curve, resolution), outdir / "spd.csv")
+    resolution = _resolution(args, curve)
+    outdir = _start_run(args, {"resolution": resolution})
+    try:
+        grid = spd(dets, curve, resolution)
+    except DataError as exc:
+        raise DataError(f"{args.determinations}: {exc}") from None
+    _write_grid(grid, outdir / "spd.csv")
     print(f"spd over {len(dets)} determination(s) -> {outdir}")
     return EXIT_OK
 
 
-def _hpd_from_draws(draws: np.ndarray, resolution: float):
-    """Histogram the draws onto a grid, then threshold as usual."""
-    lo = math.floor(draws.min() / resolution) * resolution
-    hi = math.ceil(draws.max() / resolution) * resolution
-    edges = np.arange(lo - 0.5 * resolution, hi + resolution, resolution)
-    centres = 0.5 * (edges[:-1] + edges[1:])
-    counts, _ = np.histogram(draws, bins=edges)
-    density = counts / (counts.sum() * resolution)
-    grid = DensityGrid(centres, density, resolution)
-    return hpd_intervals(grid, 0.954)
-
-
 def _write_age_summaries(samples, resolution: float, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id,mean,level,lo,hi,mass\n")
-        for i, det_id in enumerate(samples.det_ids):
-            draws = samples.theta[:, i]
-            mean = float(draws.mean())
-            for lo, hi, mass in _hpd_from_draws(draws, resolution):
-                fh.write(
-                    f"{det_id},{_fmt(mean)},0.954,{_fmt(lo)},{_fmt(hi)},{_fmt(mass)}\n"
-                )
-
-
-def _run_one_dpmm_chain(dets, curve, cfg, outdir: Path, suffix: str, resolution: float):
-    samples = run_chain(dets, curve, cfg)
-    samples.save(outdir / f"samples{suffix}")
-
-    theta_map = map_estimates(dets, curve)
-    grid = default_predictive_grid(curve, theta_map, resolution)
-    pred = predictive_density(samples, cfg.hyper, grid)
-    with open(outdir / f"predictive{suffix}.csv", "w", encoding="utf-8") as fh:
-        fh.write("cal_age,mean,lo,hi\n")
-        for t, m, lo, hi in zip(pred.theta, pred.mean, pred.lo, pred.hi):
-            fh.write(f"{_fmt(t)},{_fmt(m)},{_fmt(lo)},{_fmt(hi)}\n")
-
-    hist = cluster_count_posterior(samples)
-    with open(outdir / f"cluster_counts{suffix}.csv", "w", encoding="utf-8") as fh:
-        fh.write("k,probability\n")
-        for k, p in hist.items():
-            fh.write(f"{k},{_fmt(p)}\n")
-
-    _write_age_summaries(samples, resolution, outdir / f"age_summaries{suffix}.csv")
+    level = HPD_LEVELS[-1]
+    rows = []
+    for det_id, draws in zip(samples.det_ids, samples.theta.T):
+        mean = float(draws.mean())
+        for lo, hi, mass in hpd_from_draws(draws, resolution, level):
+            rows.append((det_id, mean, level, lo, hi, mass))
+    write_csv(path, ["id", "mean", "level", "lo", "hi", "mass"], rows)
 
 
 def _cmd_dpmm(args, parser) -> int:
@@ -295,7 +235,7 @@ def _cmd_dpmm(args, parser) -> int:
     dets = read_determinations(args.determinations)
     overrides = _parse_hyper_overrides(args.hyper)
     hyper = _resolve_hyper(dets, curve, overrides)
-    resolution = args.resolution or default_resolution(curve.support[1] - curve.support[0])
+    resolution = _resolution(args, curve)
     cfg = ChainConfig(
         n_iter=args.iters,
         n_burn=args.burn if args.burn is not None else args.iters // 2,
@@ -304,37 +244,26 @@ def _cmd_dpmm(args, parser) -> int:
         seed=args.seed,
         hyper=hyper,
     )
-    outdir = _resolve_outdir(args.out, args.force, seed=args.seed)
-    config_echo = asdict(cfg)
-    config_echo["resolution"] = resolution
-    config_echo["chains"] = args.chains
-    _write_manifest(
-        outdir,
-        RunManifest(
-            subcommand="dpmm",
-            inputs=[str(args.determinations)],
-            curve=str(args.curve),
-            config=config_echo,
-            seed=args.seed,
-            output_dir=str(outdir),
-            version=carbcal.__version__,
-        ),
-    )
-    for chain_index in range(args.chains):
-        suffix = "" if args.chains == 1 else f"_chain{chain_index}"
-        chain_cfg = (
-            cfg
-            if chain_index == 0
-            else ChainConfig(
-                n_iter=cfg.n_iter,
-                n_burn=cfg.n_burn,
-                thin=cfg.thin,
-                sampler=cfg.sampler,
-                seed=cfg.seed + chain_index,
-                hyper=cfg.hyper,
-            )
+    config = asdict(cfg)
+    config.update(resolution=resolution, chains=args.chains)
+    outdir = _start_run(args, config, seed=args.seed)
+    grid = default_predictive_grid(curve, map_estimates(dets, curve), resolution)
+    for k in range(args.chains):
+        suffix = "" if args.chains == 1 else f"_chain{k}"
+        samples = run_chain(dets, curve, replace(cfg, seed=cfg.seed + k))
+        samples.save(outdir / f"samples{suffix}")
+        pred = predictive_density(samples, hyper, grid)
+        write_csv(
+            outdir / f"predictive{suffix}.csv",
+            ["cal_age", "mean", "lo", "hi"],
+            np.column_stack((pred.theta, pred.mean, pred.lo, pred.hi)),
         )
-        _run_one_dpmm_chain(dets, curve, chain_cfg, outdir, suffix, resolution)
+        write_csv(
+            outdir / f"cluster_counts{suffix}.csv",
+            ["k", "probability"],
+            cluster_count_posterior(samples).items(),
+        )
+        _write_age_summaries(samples, resolution, outdir / f"age_summaries{suffix}.csv")
     print(f"dpmm ({args.sampler}) on {len(dets)} determination(s) -> {outdir}")
     return EXIT_OK
 
@@ -342,33 +271,24 @@ def _cmd_dpmm(args, parser) -> int:
 def _cmd_simulate(args, parser) -> int:
     curve = _require_curve(args, parser)
     families = [f.strip() for f in args.family.split(",") if f.strip()]
+    if not families:
+        parser.error("--family names no family")
     for family in families:
         if family not in simstudy.FAMILIES:
             parser.error(
                 f"invalid family {family!r}; valid families: {', '.join(simstudy.FAMILIES)}"
             )
     n_values = [int(v) for v in args.n.split(",")]
-    outdir = _resolve_outdir(args.out, args.force, seed=args.seed)
-    _write_manifest(
-        outdir,
-        RunManifest(
-            subcommand="simulate",
-            inputs=[],
-            curve=str(args.curve),
-            config={
-                "families": families,
-                "n_values": n_values,
-                "runs": args.runs,
-                "iters": args.iters,
-                "burn": args.burn,
-                "thin": args.thin,
-                "jobs": args.jobs,
-            },
-            seed=args.seed,
-            output_dir=str(outdir),
-            version=carbcal.__version__,
-        ),
-    )
+    config = {
+        "families": families,
+        "n_values": n_values,
+        "runs": args.runs,
+        "iters": args.iters,
+        "burn": args.burn,
+        "thin": args.thin,
+        "jobs": args.jobs,
+    }
+    outdir = _start_run(args, config, seed=args.seed)
     rows, runs = simstudy.run_study(
         families,
         n_values,
@@ -378,37 +298,12 @@ def _cmd_simulate(args, parser) -> int:
         chain_len=(args.iters, args.burn, args.thin),
         jobs=args.jobs,
     )
-    header = [
-        "family",
-        "n",
-        "sampler",
-        "loss",
-        "n_runs",
-        "prop_improved",
-        "mean_improvement",
-        "max_improvement",
-        "min_improvement",
-    ]
-    with open(outdir / "results.csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    _fmt(row[k]) if isinstance(row[k], float) else str(row[k])
-                    for k in header
-                )
-                + "\n"
-            )
+    write_csv(outdir / "results.csv", list(rows[0]), (row.values() for row in rows))
     payload = {
         "summary": rows,
         "runs": [
             {
-                "family": r.family,
-                "n": r.n,
-                "run_index": r.run_index,
-                "seed": r.seed,
-                "flat_curve": r.flat_curve,
-                "indep_loss": r.indep_loss,
+                **asdict(r),
                 "dpmm_loss": {f"{s}_{k}": v for (s, k), v in r.dpmm_loss.items()},
                 "improvement": {f"{s}_{k}": v for (s, k), v in r.improvement.items()},
             }
@@ -433,12 +328,10 @@ def build_parser() -> _Parser:
 
     p_cal = sub.add_parser("calibrate", help="independent grid calibration per determination")
     _add_common(p_cal)
-    p_cal.add_argument("--resolution", type=float, help="grid spacing in cal yr")
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_spd = sub.add_parser("spd", help="summed probability distribution")
     _add_common(p_spd)
-    p_spd.add_argument("--resolution", type=float, help="grid spacing in cal yr")
     p_spd.set_defaults(func=_cmd_spd)
 
     p_dpmm = sub.add_parser("dpmm", help="joint nonparametric calibration and summarisation")
@@ -449,7 +342,6 @@ def build_parser() -> _Parser:
     p_dpmm.add_argument("--thin", type=int, default=5)
     p_dpmm.add_argument("--seed", type=_int_at_least(0), default=0)
     p_dpmm.add_argument("--chains", type=_int_at_least(1), default=1)
-    p_dpmm.add_argument("--resolution", type=float, help="output grid spacing in cal yr")
     p_dpmm.add_argument(
         "--hyper",
         action="append",
@@ -462,7 +354,7 @@ def build_parser() -> _Parser:
     _add_common(p_sim, needs_dets=False)
     p_sim.add_argument("--family", default="single_normal", help="comma-separated families")
     p_sim.add_argument("--n", default="50", help="comma-separated determination counts")
-    p_sim.add_argument("--runs", type=int, default=10)
+    p_sim.add_argument("--runs", type=_int_at_least(1), default=10)
     p_sim.add_argument("--iters", type=int, default=10_000)
     p_sim.add_argument("--burn", type=int, default=5_000)
     p_sim.add_argument("--thin", type=int, default=5)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from carbcal.calcurve import CalibrationCurve
-from carbcal.calibrate import Hyperparameters, map_estimates
+from carbcal.calibrate import Hyperparameters, map_estimates, write_csv
 from carbcal.errors import DataError
 from carbcal.slicesample import SliceConfig, slice_sample_array
 
@@ -135,20 +135,11 @@ class PosteriorSamples:
         """Serialise to a directory: theta.csv, clusters.jsonl, config.json."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        with open(directory / "theta.csv", "w", encoding="utf-8") as fh:
-            fh.write(",".join(self.det_ids) + "\n")
-            for row in self.theta:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_csv(directory / "theta.csv", self.det_ids, self.theta)
         with open(directory / "clusters.jsonl", "w", encoding="utf-8") as fh:
             for snap in self.clusters:
                 record = {
-                    "c": snap.c.tolist(),
-                    "phi": snap.phi.tolist(),
-                    "tau": snap.tau.tolist(),
-                    "counts": snap.counts.tolist(),
-                    "w": None if snap.w is None else snap.w.tolist(),
-                    "alpha": snap.alpha,
-                    "mu_phi": snap.mu_phi,
+                    k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(snap).items()
                 }
                 fh.write(json.dumps(record) + "\n")
         cfg = asdict(self.config)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from carbcal.calcurve import CalibrationCurve
-from carbcal.calibrate import Determination
+from carbcal.calibrate import Determination, write_csv
 
 #: Weight, mean and sd of the bundled three-phase demo mixture (cal yr BP).
 DEMO_PHASES = ((0.1, 3500.0, 200.0), (0.4, 4200.0, 100.0), (0.5, 5000.0, 300.0))
@@ -118,7 +118,8 @@ def true_three_phase_density(theta, phases=DEMO_PHASES):
 
 def write_determination_file(dets, path) -> None:
     """Write determinations in the standard ``id,c14_age,c14_sig`` format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id,c14_age,c14_sig\n")
-        for det in dets:
-            fh.write(f"{det.id},{float(det.x)!r},{float(det.sigma)!r}\n")
+    write_csv(
+        path,
+        ["id", "c14_age", "c14_sig"],
+        ((det.id, float(det.x), float(det.sigma)) for det in dets),
+    )

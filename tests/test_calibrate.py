@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -18,8 +19,10 @@ from carbcal.calibrate import (
     prior_cluster_sd_quantile,
     read_determinations,
     spd,
+    write_csv,
 )
 from carbcal.errors import DataError
+from carbcal.synthetic import write_determination_file
 from conftest import make_flat_curve, make_linear_curve
 
 
@@ -384,3 +387,81 @@ def test_read_determinations_empty_file(tmp_path):
     path.write_text("id,c14_age,c14_sig\n")
     with pytest.raises(DataError):
         read_determinations(path)
+
+
+def test_read_determinations_rejects_line_break_in_id(tmp_path):
+    path = tmp_path / "dets.csv"
+    path.write_text('id,c14_age,c14_sig\nx,1500,30\n"a\rb",1500,30\n', newline="")
+    with pytest.raises(DataError, match=r":3:.*line break"):
+        read_determinations(path)
+    with pytest.raises(DataError, match="line break"):
+        Determination("a\nb", 1500.0, 30.0)
+
+
+# Ids are whatever Determination accepts as read back: stripped, non-empty,
+# no line break.  Commas and double quotes are drawn often.
+_ids = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(',"'),
+        st.characters(exclude_categories=("Cs",), exclude_characters="\r\n"),
+    ),
+    min_size=1,
+    max_size=12,
+).filter(lambda s: s == s.strip() and s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            _ids,
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_determination_file_roundtrip(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("dets") / "dets.csv"
+    write_determination_file([Determination(*row) for row in rows], path)
+    back = read_determinations(path)
+    assert [(d.id, d.x, d.sigma) for d in back] == rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_ids, st.floats(allow_nan=False), st.floats(allow_nan=False)),
+        max_size=20,
+    )
+)
+def test_write_csv_roundtrip(tmp_path_factory, rows):
+    out = tmp_path_factory.mktemp("csv")
+    write_csv(out / "rows.csv", ["id", "a", "b"], [(i, a, np.float64(b)) for i, a, b in rows])
+    with open(out / "rows.csv", newline="", encoding="utf-8") as fh:
+        back = list(csv.reader(fh))
+    assert back[0] == ["id", "a", "b"]
+    assert [(i, float(a), float(b)) for i, a, b in back[1:]] == rows
+    # a numeric array takes the block path, which must write the same bytes
+    numbers = [(a, b) for _, a, b in rows]
+    write_csv(out / "rows2.csv", ["a", "b"], numbers)
+    write_csv(out / "array.csv", ["a", "b"], np.array(numbers).reshape(-1, 2))
+    assert (out / "array.csv").read_bytes() == (out / "rows2.csv").read_bytes()
+
+
+def test_write_csv_array_blocks_match_rows(tmp_path):
+    # wide enough that the array is written in several blocks of rows
+    values = np.random.default_rng(4).normal(4000.0, 300.0, size=(7, 30_000))
+    header = [f"d{k}" for k in range(values.shape[1])]
+    write_csv(tmp_path / "array.csv", header, values)
+    write_csv(tmp_path / "rows.csv", header, values.tolist())
+    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_calibrate_independent_rejects_date_off_the_curve(synth_curve):
+    det = Determination("far", 90_000.0, 30.0)
+    with pytest.raises(DataError, match="'far'.*no likelihood mass"):
+        calibrate_independent(det, synth_curve, 5.0)
+    with pytest.raises(DataError, match="'far'"):
+        spd([Determination("near", 3000.0, 30.0), det], synth_curve, 5.0)

@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import json
 from pathlib import Path
@@ -9,8 +10,10 @@ from carbcal.cli import main
 
 
 def write_dets(path, rows):
-    lines = ["id,c14_age,c14_sig"] + [f"{i},{x},{s}" for i, x, s in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "c14_age", "c14_sig"])
+        writer.writerows(rows)
     return str(path)
 
 
@@ -324,3 +327,64 @@ def test_thin_beyond_post_burn_iterations_fails_before_chain(
     rc = main(dpmm_args(dets_file_multi, synth_curve_file, out, iters=10, burn=5, thin=6))
     assert rc == 2
     assert not (out / "manifest.json").exists()
+
+
+def test_ids_with_comma_and_quote_survive_outputs(tmp_path, synth_curve, synth_curve_file):
+    rng = np.random.default_rng(8)
+    ids = ["x,y", 'q"uote'] + [f"d{k}" for k in range(4)]
+    m, _ = synth_curve.at(rng.uniform(3000, 3500, size=len(ids)))
+    dets = write_dets(tmp_path / "dets.csv", [(i, float(x), 25.0) for i, x in zip(ids, m)])
+    cal = tmp_path / "cal"
+    assert main(["calibrate", dets, "--curve", str(synth_curve_file), "--out", str(cal)]) == 0
+    assert (cal / "x_y_posterior.csv").is_file() and (cal / "q_uote_posterior.csv").is_file()
+
+    out = tmp_path / "run"
+    assert main(dpmm_args(dets, synth_curve_file, out)) == 0
+    with open(out / "samples" / "theta.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ids
+    assert all(len(row) == len(ids) for row in rows[1:])
+    with open(out / "age_summaries.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert sorted({row[0] for row in rows}) == sorted(ids)
+    assert all(len(row) == 6 for row in rows)
+
+
+@pytest.mark.parametrize("ids", [("a_2", "a/2"), ("a", "a")])
+def test_calibrate_colliding_file_stems_rejected(tmp_path, synth_curve_file, capsys, ids):
+    dets = write_dets(
+        tmp_path / "dets.csv", [("b", 3000.0, 30.0), (ids[0], 3100.0, 30.0), (ids[1], 3200.0, 30.0)]
+    )
+    out = tmp_path / "run"
+    rc = main(["calibrate", dets, "--curve", str(synth_curve_file), "--out", str(out)])
+    assert rc == 2
+    assert not (out / "manifest.json").exists()
+    err = capsys.readouterr().err
+    assert "dets.csv" in err and repr(ids[0]) in err and repr(ids[1]) in err
+
+
+@pytest.mark.parametrize("subcommand", ["calibrate", "spd"])
+def test_date_off_the_curve_is_data_error(tmp_path, synth_curve_file, capsys, subcommand):
+    dets = write_dets(tmp_path / "dets.csv", [("near", 3000.0, 30.0), ("far", 90000.0, 30.0)])
+    out = tmp_path / "run"
+    rc = main([subcommand, dets, "--curve", str(synth_curve_file), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "dets.csv" in err and "'far'" in err
+    assert not (out / "far_posterior.csv").exists() and not (out / "spd.csv").exists()
+
+
+def test_nonpositive_resolution_fails_before_manifest(tmp_path, dets_file_multi, synth_curve_file):
+    out = tmp_path / "run"
+    rc = main(dpmm_args(dets_file_multi, synth_curve_file, out, resolution=-5))
+    assert rc == 2
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("extra", [["--runs", "0"], ["--family", ","]])
+def test_simulate_empty_study_is_usage_error(tmp_path, synth_curve_file, extra):
+    out = tmp_path / "sim"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--curve", str(synth_curve_file), "--out", str(out)] + extra)
+    assert exc.value.code == 1
+    assert not out.exists()
