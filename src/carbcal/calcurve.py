@@ -42,7 +42,7 @@ class CalibrationCurve:
             raise CurveFormatError("curve columns have unequal lengths")
         if len(cal_age) < 2:
             raise CurveFormatError("curve needs at least 2 knots")
-        if not np.all(np.isfinite(cal_age)) or not np.all(np.isfinite(c14_mean)):
+        if not all(np.isfinite(column).all() for column in (cal_age, c14_mean, c14_sd)):
             raise CurveFormatError("curve contains non-finite values")
         diffs = np.diff(cal_age)
         if np.any(diffs <= 0):
@@ -133,6 +133,14 @@ def load_curve(path) -> CalibrationCurve:
 
     data = np.asarray(rows, dtype=float)
     linenos = np.asarray(lines)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise CurveFormatError(
+            f"non-finite value in the first three columns {data[i].tolist()}",
+            path=path,
+            line=int(linenos[i]),
+        )
     if data[0, 0] > data[-1, 0]:
         data = data[::-1]
         linenos = linenos[::-1]

@@ -17,8 +17,6 @@ from scipy.special import gammaincinv
 from carbcal.calcurve import CalibrationCurve
 from carbcal.errors import DataError
 
-LOG_2PI = math.log(2.0 * math.pi)
-
 #: Coarse grid spacing (cal yr) for the fast preliminary calibration.
 COARSE_RESOLUTION = 5.0
 
@@ -164,10 +162,20 @@ def likelihood(det: Determination, curve: CalibrationCurve, theta):
     return np.exp(-0.5 * resid * resid / var) / np.sqrt(2.0 * math.pi * var)
 
 
-def _grid_over_support(curve: CalibrationCurve, resolution: float) -> np.ndarray:
-    lo, hi = curve.support
+def uniform_grid(lo: float, hi: float, resolution: float) -> np.ndarray:
+    """Points ``lo + k * resolution`` from ``lo`` up to ``hi`` (less a rounding slack)."""
     n_cells = int(math.floor((hi - lo) / resolution + 1e-9))
     return lo + resolution * np.arange(n_cells + 1)
+
+
+def _require_mass(det: Determination, curve: CalibrationCurve, mass: float) -> None:
+    """Refuse a date whose likelihood over the curve support sums to nothing."""
+    if not (math.isfinite(mass) and mass > 0):
+        lo, hi = curve.support
+        raise DataError(
+            f"determination {det.id!r}: radiocarbon age {det.x:g} has no likelihood "
+            f"mass on the curve support [{lo:g}, {hi:g}]"
+        )
 
 
 def calibrate_independent(
@@ -176,15 +184,10 @@ def calibrate_independent(
     """Posterior calendar-age grid for one determination under a flat prior."""
     if not resolution > 0:
         raise DataError("resolution must be > 0")
-    theta = _grid_over_support(curve, resolution)
+    theta = uniform_grid(*curve.support, resolution)
     density = likelihood(det, curve, theta)
     total = density.sum()
-    if not (math.isfinite(total) and total > 0):
-        lo, hi = curve.support
-        raise DataError(
-            f"determination {det.id!r}: radiocarbon age {det.x:g} has no likelihood "
-            f"mass on the curve support [{lo:g}, {hi:g}]"
-        )
+    _require_mass(det, curve, total)
     density = density / (total * resolution)
     return DensityGrid(theta, density, resolution)
 
@@ -193,7 +196,7 @@ def spd(dets, curve: CalibrationCurve, resolution: float) -> DensityGrid:
     """Summed probability distribution: average of independent posteriors."""
     if len(dets) == 0:
         raise DataError("spd needs at least one determination")
-    theta = _grid_over_support(curve, resolution)
+    theta = uniform_grid(*curve.support, resolution)
     total = np.zeros_like(theta)
     for det in dets:
         total += calibrate_independent(det, curve, resolution).density
@@ -253,18 +256,22 @@ def hpd_from_draws(draws: np.ndarray, resolution: float, level: float):
 def map_estimates(dets, curve: CalibrationCurve, coarse_resolution: float = COARSE_RESOLUTION):
     """Approximate MAP calendar age per determination from a coarse grid.
 
-    Ties are broken toward the smallest calendar age (first grid argmax).
+    Ties are broken toward the smallest calendar age (first grid argmax).  A
+    date whose likelihood underflows to zero all over the grid raises the
+    ``DataError`` that :func:`calibrate_independent` raises for it.
     """
     if not coarse_resolution > 0:
         raise DataError("coarse_resolution must be > 0")
-    theta = _grid_over_support(curve, coarse_resolution)
+    theta = uniform_grid(*curve.support, coarse_resolution)
     m, rho = curve.at(theta)
     rho2 = rho * rho
     out = np.empty(len(dets))
     for k, det in enumerate(dets):
         var = rho2 + det.sigma * det.sigma
         loglik = -0.5 * (det.x - m) ** 2 / var - 0.5 * np.log(var)
-        out[k] = theta[int(np.argmax(loglik))]
+        best = int(np.argmax(loglik))
+        _require_mass(det, curve, math.exp(loglik[best]))
+        out[k] = theta[best]
     return out
 
 

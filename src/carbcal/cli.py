@@ -138,16 +138,25 @@ def _parse_hyper_overrides(pairs) -> dict:
     return overrides
 
 
-def _resolve_hyper(dets, curve, overrides: dict) -> Hyperparameters:
-    """Adaptive defaults, overridden field by field; or fully manual."""
+def _resolve_hyper(path, dets, curve, overrides: dict) -> Hyperparameters:
+    """Adaptive defaults, overridden field by field; or fully manual.
+
+    Errors in the data name the determinations file ``path``.  A fully
+    manual set skips the checks on the spread of the dates, but not the
+    refusal of a date with no likelihood mass, which ``map_estimates`` makes.
+    """
     required = {f.name for f in fields(Hyperparameters) if f.default is MISSING}
     try:
-        hyper = default_hyperparameters(dets, curve)
-    except DataError:
-        if required <= overrides.keys():
-            return Hyperparameters(**overrides)
-        raise
-    return replace(hyper, **overrides)
+        try:
+            hyper = default_hyperparameters(dets, curve)
+        except DataError:
+            if not required <= overrides.keys():
+                raise
+            map_estimates(dets, curve)
+            hyper = None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return Hyperparameters(**overrides) if hyper is None else replace(hyper, **overrides)
 
 
 def _add_common(parser, needs_dets=True):
@@ -234,7 +243,7 @@ def _cmd_dpmm(args, parser) -> int:
     curve = _require_curve(args, parser)
     dets = read_determinations(args.determinations)
     overrides = _parse_hyper_overrides(args.hyper)
-    hyper = _resolve_hyper(dets, curve, overrides)
+    hyper = _resolve_hyper(args.determinations, dets, curve, overrides)
     resolution = _resolution(args, curve)
     cfg = ChainConfig(
         n_iter=args.iters,
@@ -278,7 +287,10 @@ def _cmd_simulate(args, parser) -> int:
             parser.error(
                 f"invalid family {family!r}; valid families: {', '.join(simstudy.FAMILIES)}"
             )
-    n_values = [int(v) for v in args.n.split(",")]
+    try:
+        n_values = [_int_at_least(1)(v) for v in args.n.split(",")]
+    except (ValueError, argparse.ArgumentTypeError):
+        parser.error(f"argument --n: expected comma-separated integers >= 1, got {args.n!r}")
     config = {
         "families": families,
         "n_values": n_values,
@@ -299,17 +311,7 @@ def _cmd_simulate(args, parser) -> int:
         jobs=args.jobs,
     )
     write_csv(outdir / "results.csv", list(rows[0]), (row.values() for row in rows))
-    payload = {
-        "summary": rows,
-        "runs": [
-            {
-                **asdict(r),
-                "dpmm_loss": {f"{s}_{k}": v for (s, k), v in r.dpmm_loss.items()},
-                "improvement": {f"{s}_{k}": v for (s, k), v in r.improvement.items()},
-            }
-            for r in runs
-        ],
-    }
+    payload = {"summary": rows, "runs": [asdict(r) for r in runs]}
     with open(outdir / "results.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -359,7 +361,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--burn", type=int, default=5_000)
     p_sim.add_argument("--thin", type=int, default=5)
     p_sim.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_sim.add_argument("--jobs", type=int, default=1)
+    p_sim.add_argument("--jobs", type=_int_at_least(1), default=1)
     p_sim.set_defaults(func=_cmd_simulate)
     return parser
 

@@ -47,10 +47,6 @@ class DpmmState:
     w_remainder: float = 1.0
 
     @property
-    def n_obs(self) -> int:
-        return len(self.theta)
-
-    @property
     def n_clusters(self) -> int:
         return len(self.phi)
 
@@ -185,9 +181,9 @@ class PosteriorSamples:
 # normal-gamma base measure
 
 
-def _draw_normal_gamma(mu0, lam, nu1, nu2, rng, size=None):
+def _draw_normal_gamma(mu0, lam, nu1, nu2, rng):
     """Draw (phi, tau) with tau ~ Gamma(nu1, rate nu2), phi|tau normal."""
-    tau = rng.gamma(nu1, 1.0 / nu2, size=size)
+    tau = rng.gamma(nu1, 1.0 / nu2)
     phi = rng.normal(mu0, 1.0 / np.sqrt(lam * tau))
     return phi, tau
 
@@ -220,14 +216,16 @@ def base_marginal(theta, mu_phi: float, hyper: Hyperparameters):
     return np.exp(_log_base_marginal(theta, mu_phi, hyper, log1p=np.log1p))
 
 
-def _single_obs_posterior_draw(theta_i, mu_phi, hyper, rng):
-    """Normal-gamma posterior draw given exactly one member age."""
-    lam_n = hyper.lam + 1.0
-    mu_n = (hyper.lam * mu_phi + theta_i) / lam_n
-    nu1_n = hyper.nu1 + 0.5
-    nu2_n = hyper.nu2 + hyper.lam * (theta_i - mu_phi) ** 2 / (2.0 * lam_n)
+def _draw_cluster_params(counts, sums, sqsums, mu_phi: float, hyper: Hyperparameters, rng):
+    """Conjugate normal-gamma draw of (phi, tau) from member counts, sums and squared sums."""
+    mean = sums / np.maximum(counts, 1.0)
+    ss = np.maximum(sqsums - counts * mean * mean, 0.0)
+    lam_n = hyper.lam + counts
+    mu_n = (hyper.lam * mu_phi + sums) / lam_n
+    nu1_n = hyper.nu1 + 0.5 * counts
+    nu2_n = hyper.nu2 + 0.5 * ss + hyper.lam * counts * (mean - mu_phi) ** 2 / (2.0 * lam_n)
     tau = rng.gamma(nu1_n, 1.0 / nu2_n)
-    phi = rng.normal(mu_n, 1.0 / math.sqrt(lam_n * tau))
+    phi = rng.normal(mu_n, 1.0 / np.sqrt(lam_n * tau))
     return phi, tau
 
 
@@ -257,12 +255,7 @@ def init_state(
         theta_map = map_estimates(dets, curve)
     theta = np.asarray(theta_map, dtype=float).copy()
     c = np.arange(n, dtype=np.int64) % hyper.n_init_clusters
-    # Compact away initial clusters that received no member (n < n_init_clusters).
-    occupied = np.unique(c)
-    relabel = np.zeros(occupied.max() + 1, dtype=np.int64)
-    relabel[occupied] = np.arange(len(occupied))
-    c = relabel[c]
-    k = len(occupied)
+    k = min(n, hyper.n_init_clusters)  # round robin leaves no label unused
 
     alpha = float(rng.gamma(hyper.eta1, 1.0 / hyper.eta2))
     state = DpmmState(
@@ -342,8 +335,6 @@ def _drop_cluster(state: DpmmState, j: int) -> None:
     keep = np.arange(state.n_clusters) != j
     state.phi = state.phi[keep]
     state.tau = state.tau[keep]
-    if len(state.w):
-        state.w = state.w[keep]
     state.c = np.where(state.c > j, state.c - 1, state.c)
 
 
@@ -352,8 +343,8 @@ def polya_reallocate(state: DpmmState, i: int, hyper: Hyperparameters, rng) -> i
 
     Existing clusters weigh occupancy (excluding i) times the cluster normal
     density; a new cluster weighs concentration times the base marginal.  If
-    a new cluster is opened, its parameters come from the single-observation
-    posterior; an emptied cluster is removed and labels compacted.
+    a new cluster is opened, its parameters come from the conditional given
+    its one member; an emptied cluster is removed and labels compacted.
     """
     theta_i = float(state.theta[i])
     old = int(state.c[i])
@@ -378,7 +369,9 @@ def polya_reallocate(state: DpmmState, i: int, hyper: Hyperparameters, rng) -> i
 
     choice = _log_categorical_draw(log_w, rng)
     if choice == len(phi):
-        new_phi, new_tau = _single_obs_posterior_draw(theta_i, state.mu_phi, hyper, rng)
+        new_phi, new_tau = _draw_cluster_params(
+            1.0, theta_i, theta_i * theta_i, state.mu_phi, hyper, rng
+        )
         state.phi = np.append(state.phi, new_phi)
         state.tau = np.append(state.tau, new_tau)
         choice = state.n_clusters - 1
@@ -392,13 +385,8 @@ def polya_reallocate(state: DpmmState, i: int, hyper: Hyperparameters, rng) -> i
 # step 2, walker variant
 
 
-def walker_update_weights(state: DpmmState, hyper: Hyperparameters, rng, min_u: float = 0.0):
-    """Resample stick weights from their Beta conditionals given allocations.
-
-    When ``min_u`` is positive, the stick list is then extended with prior
-    sticks (and prior cluster parameters) until the unbroken remainder falls
-    below it, guaranteeing every slice-truncated candidate set is complete.
-    """
+def walker_update_weights(state: DpmmState, hyper: Hyperparameters, rng):
+    """Resample stick weights from their Beta conditionals given allocations."""
     counts = state.occupancy().astype(float)
     tail = np.concatenate([np.cumsum(counts[::-1])[::-1][1:], [0.0]])
     v = rng.beta(1.0 + counts, state.alpha + tail)
@@ -406,8 +394,6 @@ def walker_update_weights(state: DpmmState, hyper: Hyperparameters, rng, min_u: 
     prefix = np.concatenate([[1.0], np.cumprod(1.0 - v)[:-1]])
     state.w = v * prefix
     state.w_remainder = float(prefix[-1] * (1.0 - v[-1]))
-    if min_u > 0.0:
-        _extend_sticks(state, hyper, rng, min_u)
     return state.w
 
 
@@ -474,9 +460,8 @@ def _trim_tail_sticks(state: DpmmState) -> None:
         return
     state.phi = state.phi[: j_max + 1]
     state.tau = state.tau[: j_max + 1]
-    if len(state.w):
-        state.w_remainder += float(state.w[j_max + 1 :].sum())
-        state.w = state.w[: j_max + 1]
+    state.w_remainder += float(state.w[j_max + 1 :].sum())
+    state.w = state.w[: j_max + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -493,19 +478,7 @@ def update_cluster_params(state: DpmmState, hyper: Hyperparameters, rng):
     counts = np.bincount(state.c, minlength=k).astype(float)
     sums = np.bincount(state.c, weights=state.theta, minlength=k)
     sqsums = np.bincount(state.c, weights=state.theta * state.theta, minlength=k)
-    mean = np.divide(sums, counts, out=np.zeros(k), where=counts > 0)
-    ss = np.maximum(sqsums - counts * mean * mean, 0.0)
-
-    lam_n = hyper.lam + counts
-    mu_n = (hyper.lam * state.mu_phi + sums) / lam_n
-    nu1_n = hyper.nu1 + 0.5 * counts
-    nu2_n = (
-        hyper.nu2
-        + 0.5 * ss
-        + hyper.lam * counts * (mean - state.mu_phi) ** 2 / (2.0 * lam_n)
-    )
-    state.tau = rng.gamma(nu1_n, 1.0 / nu2_n)
-    state.phi = rng.normal(mu_n, 1.0 / np.sqrt(lam_n * state.tau))
+    state.phi, state.tau = _draw_cluster_params(counts, sums, sqsums, state.mu_phi, hyper, rng)
     return state.phi, state.tau
 
 
@@ -654,10 +627,12 @@ def run_chain(dets, curve: CalibrationCurve, cfg: ChainConfig) -> PosteriorSampl
     for it in range(1, cfg.n_iter + 1):
         update_theta(state, x, var_obs, curve, hyper, rng, slice_cfg=slice_cfg)
 
+        before = state.alpha
         if cfg.sampler == "polya":
             for i in range(n):
                 polya_reallocate(state, i, hyper, rng)
             update_cluster_params(state, hyper, rng)
+            update_alpha(state, hyper, rng)
         else:
             walker_update_weights(state, hyper, rng)
             u = (1.0 - rng.random(n)) * state.w[state.c]
@@ -665,11 +640,6 @@ def run_chain(dets, curve: CalibrationCurve, cfg: ChainConfig) -> PosteriorSampl
             walker_reallocate(state, u, rng)
             update_cluster_params(state, hyper, rng)
             _trim_tail_sticks(state)
-
-        before = state.alpha
-        if cfg.sampler == "polya":
-            update_alpha(state, hyper, rng)
-        else:
             _update_alpha_walker(state, hyper, rng)
         if state.alpha != before:
             alpha_accepts += 1

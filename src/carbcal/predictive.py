@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from carbcal.calibrate import Hyperparameters
+from carbcal.calibrate import Hyperparameters, uniform_grid
 from carbcal.dpmm import ClusterSample, PosteriorSamples, base_marginal
 from carbcal.errors import DataError
 
@@ -120,17 +121,12 @@ def default_predictive_grid(curve, theta_map, resolution: float) -> np.ndarray:
     lo_s, hi_s = curve.support
     lo = max(theta_map.min() - pad, lo_s)
     hi = min(theta_map.max() + pad, hi_s)
-    n_cells = int(math.floor((hi - lo) / resolution + 1e-9))
-    return lo + resolution * np.arange(n_cells + 1)
+    return uniform_grid(lo, hi, resolution)
 
 
 def cluster_count_posterior(samples: PosteriorSamples) -> dict[int, float]:
     """Relative frequency of occupied-cluster counts across stored samples."""
     if samples.n_stored == 0:
         raise DataError("no stored samples")
-    counts = [int((snap.counts > 0).sum()) for snap in samples.clusters]
-    hist: dict[int, float] = {}
-    for k in counts:
-        hist[k] = hist.get(k, 0.0) + 1.0
-    total = float(len(counts))
-    return {k: v / total for k, v in sorted(hist.items())}
+    hist = Counter(int((snap.counts > 0).sum()) for snap in samples.clusters)
+    return {k: v / len(samples.clusters) for k, v in sorted(hist.items())}

@@ -20,8 +20,9 @@ from carbcal.calibrate import (
     default_hyperparameters,
     default_resolution,
 )
-from carbcal.dpmm import ChainConfig, run_chain
+from carbcal.dpmm import SAMPLERS, ChainConfig, run_chain
 from carbcal.errors import DataError
+from carbcal.synthetic import sample_determinations
 
 #: Laboratory measurement sd used throughout the study (14C yr).
 SIGMA_OBS = 25.0
@@ -62,12 +63,11 @@ def _draw_truth(family: str, n: int, rng) -> tuple[np.ndarray, dict]:
         comp = rng.choice(3, size=n, p=w)
         theta = rng.normal(phi[comp], tau[comp] ** -0.5)
         return theta, {"tau": tau.tolist(), "phi": phi.tolist(), "w": w.tolist()}
-    if family == "uniform":
-        start = rng.uniform(100.0, 14_000.0)
-        length = rng.uniform(50.0, 1_000.0)
-        theta = rng.uniform(start, start + length, size=n)
-        return theta, {"start": float(start), "length": float(length)}
-    raise DataError(f"unknown scenario family {family!r}; choose from {FAMILIES}")
+    # "uniform", the one family left: gen_scenario has checked the name
+    start = rng.uniform(100.0, 14_000.0)
+    length = rng.uniform(50.0, 1_000.0)
+    theta = rng.uniform(start, start + length, size=n)
+    return theta, {"start": float(start), "length": float(length)}
 
 
 def gen_scenario(family: str, n: int, curve: CalibrationCurve, rng) -> Scenario:
@@ -81,12 +81,17 @@ def gen_scenario(family: str, n: int, curve: CalibrationCurve, rng) -> Scenario:
         theta, descriptor = _draw_truth(family, n, rng)
         if theta.min() >= lo and theta.max() <= hi:
             break
-    m, rho = curve.at(theta)
-    x = rng.normal(m, np.sqrt(SIGMA_OBS**2 + rho**2))
-    dets = [
-        Determination(f"sim{k}", float(x[k]), SIGMA_OBS) for k in range(n)
-    ]
+    dets = sample_determinations(theta, curve, SIGMA_OBS, rng, prefix="sim")
     return Scenario(family, n, theta, dets, descriptor)
+
+
+def _loss(dev: np.ndarray, kind: str) -> np.ndarray:
+    """Pointwise loss of the deviations from the truth."""
+    if kind == "l1":
+        return np.abs(dev)
+    if kind == "l2":
+        return dev * dev
+    raise DataError(f"unknown loss kind {kind!r}; use 'l1' or 'l2'")
 
 
 def posterior_loss(draws, true_theta: float, kind: str) -> float:
@@ -94,23 +99,12 @@ def posterior_loss(draws, true_theta: float, kind: str) -> float:
     draws = np.asarray(draws, dtype=float)
     if draws.size == 0:
         raise DataError("posterior_loss needs at least one draw")
-    if kind == "l1":
-        return float(np.abs(draws - true_theta).mean())
-    if kind == "l2":
-        return float(((draws - true_theta) ** 2).mean())
-    raise DataError(f"unknown loss kind {kind!r}; use 'l1' or 'l2'")
+    return float(_loss(draws - true_theta, kind).mean())
 
 
 def grid_loss(grid, true_theta: float, kind: str) -> float:
     """Posterior expected loss of a normalized density grid by quadrature."""
-    dev = grid.theta - true_theta
-    if kind == "l1":
-        values = np.abs(dev)
-    elif kind == "l2":
-        values = dev * dev
-    else:
-        raise DataError(f"unknown loss kind {kind!r}; use 'l1' or 'l2'")
-    return float((values * grid.density).sum() * grid.resolution)
+    return float((_loss(grid.theta - true_theta, kind) * grid.density).sum() * grid.resolution)
 
 
 def improvement(loss_np: float, loss_indep: float) -> float:
@@ -137,61 +131,48 @@ def flat_curve_flag(curve: CalibrationCurve, true_theta, sigma_obs: float = SIGM
 
 @dataclass
 class RunResult:
-    """Losses and improvements for one simulation run."""
+    """Losses and improvements for one simulation run.
+
+    ``indep_loss`` is keyed by loss kind (``"l1"``, ``"l2"``); ``dpmm_loss``
+    and ``improvement`` by ``"<sampler>_<kind>"`` (``"polya_l1"``, ...), the
+    keys ``results.json`` shows.
+    """
 
     family: str
     n: int
     run_index: int
     seed: int
     flat_curve: bool
-    indep_loss: dict = field(default_factory=dict)        # kind -> loss
-    dpmm_loss: dict = field(default_factory=dict)         # (sampler, kind) -> loss
-    improvement: dict = field(default_factory=dict)       # (sampler, kind) -> percent
+    indep_loss: dict = field(default_factory=dict)
+    dpmm_loss: dict = field(default_factory=dict)
+    improvement: dict = field(default_factory=dict)  # percent
 
 
 def _execute_run(args) -> RunResult:
     family, n, run_index, run_seed, curve, chain_len = args
-    n_iter, n_burn, thin = chain_len
     rng = np.random.default_rng(run_seed)
     scenario = gen_scenario(family, n, curve, rng)
+    truth = scenario.true_theta
     hyper = default_hyperparameters(scenario.dets, curve)
-
-    result = RunResult(
-        family=family,
-        n=n,
-        run_index=run_index,
-        seed=run_seed,
-        flat_curve=flat_curve_flag(curve, scenario.true_theta),
-    )
+    result = RunResult(family, n, run_index, run_seed, flat_curve_flag(curve, truth))
 
     resolution = default_resolution(curve.support[1] - curve.support[0])
-    for kind in LOSS_KINDS:
-        losses = [
-            grid_loss(calibrate_independent(det, curve, resolution), t, kind)
-            for det, t in zip(scenario.dets, scenario.true_theta)
-        ]
-        result.indep_loss[kind] = float(np.mean(losses))
+    indep = {kind: [] for kind in LOSS_KINDS}
+    for det, t in zip(scenario.dets, truth):
+        grid = calibrate_independent(det, curve, resolution)
+        for kind in LOSS_KINDS:
+            indep[kind].append(grid_loss(grid, t, kind))
+    result.indep_loss = {kind: float(np.mean(losses)) for kind, losses in indep.items()}
 
-    for variant_index, sampler in enumerate(("polya", "walker")):
-        cfg = ChainConfig(
-            n_iter=n_iter,
-            n_burn=n_burn,
-            thin=thin,
-            sampler=sampler,
-            seed=2 * run_seed + variant_index + 1,
-            hyper=hyper,
-        )
+    for variant_index, sampler in enumerate(SAMPLERS):
+        seed = 2 * run_seed + variant_index + 1
+        cfg = ChainConfig(*chain_len, sampler=sampler, seed=seed, hyper=hyper)
         samples = run_chain(scenario.dets, curve, cfg)
         for kind in LOSS_KINDS:
-            losses = [
-                posterior_loss(samples.theta[:, i], scenario.true_theta[i], kind)
-                for i in range(n)
-            ]
+            losses = [posterior_loss(d, t, kind) for d, t in zip(samples.theta.T, truth)]
             loss = float(np.mean(losses))
-            result.dpmm_loss[(sampler, kind)] = loss
-            result.improvement[(sampler, kind)] = improvement(
-                loss, result.indep_loss[kind]
-            )
+            result.dpmm_loss[f"{sampler}_{kind}"] = loss
+            result.improvement[f"{sampler}_{kind}"] = improvement(loss, result.indep_loss[kind])
     return result
 
 
@@ -201,9 +182,9 @@ def summarise(runs: list[RunResult]) -> list[dict]:
     keys = sorted({(r.family, r.n) for r in runs}, key=lambda k: (k[0], k[1]))
     for family, n in keys:
         group = [r for r in runs if r.family == family and r.n == n]
-        for sampler in ("polya", "walker"):
+        for sampler in SAMPLERS:
             for kind in LOSS_KINDS:
-                imps = np.array([r.improvement[(sampler, kind)] for r in group])
+                imps = np.array([r.improvement[f"{sampler}_{kind}"] for r in group])
                 rows.append(
                     {
                         "family": family,

@@ -144,3 +144,54 @@ def test_validation_rejects_bad_construction():
 def test_curve_arrays_are_immutable(synth_curve):
     with pytest.raises(ValueError):
         synth_curve.cal_age[0] = -1.0
+
+
+def test_validation_rejects_non_finite_sd():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(CurveFormatError, match="non-finite"):
+            CalibrationCurve([0, 1], [1, 2], [1, bad])
+
+
+_knot_values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _curves(draw):
+    ages = sorted(draw(st.lists(_knot_values, min_size=2, max_size=12, unique=True)))
+    n = len(ages)
+    means = draw(st.lists(_knot_values, min_size=n, max_size=n))
+    sds = draw(st.lists(st.floats(1e-6, 1e6), min_size=n, max_size=n))
+    return CalibrationCurve(ages, means, sds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(curve=_curves())
+def test_curve_file_roundtrip(tmp_path_factory, curve):
+    from carbcal.synthetic import write_curve_file
+
+    path = tmp_path_factory.mktemp("curve") / "curve.14c"
+    write_curve_file(curve, path)
+    back = load_curve(path)
+    for name in ("cal_age", "c14_mean", "c14_sd"):
+        assert np.array_equal(getattr(back, name), getattr(curve, name))
+
+
+@settings(max_examples=100, deadline=None)
+@given(curve=_curves(), data=st.data())
+def test_load_rejects_one_non_finite_value_with_line_number(tmp_path_factory, curve, data):
+    from carbcal.synthetic import write_curve_file
+
+    path = tmp_path_factory.mktemp("curve") / "curve.14c"
+    write_curve_file(curve, path)
+    lines = path.read_text().splitlines()
+    data_lines = [k for k, line in enumerate(lines) if not line.startswith("#")]
+    k = data.draw(st.sampled_from(data_lines))
+    column = data.draw(st.integers(0, 2))
+    fields = lines[k].split(",")
+    fields[column] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+    lines[k] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CurveFormatError, match="non-finite") as exc:
+        load_curve(path)
+    assert exc.value.line == k + 1
+    assert str(exc.value).startswith(f"{path}:{k + 1}: ")

@@ -388,3 +388,49 @@ def test_simulate_empty_study_is_usage_error(tmp_path, synth_curve_file, extra):
         main(["simulate", "--curve", str(synth_curve_file), "--out", str(out)] + extra)
     assert exc.value.code == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["calibrate", "spd", "dpmm"])
+def test_non_finite_curve_value_is_data_error(
+    tmp_path, synth_curve_file, dets_file_multi, capsys, subcommand
+):
+    lines = synth_curve_file.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith("4500.0,"))
+    age, mean, _ = lines[k].split(",")
+    lines[k] = f"{age},{mean},nan"
+    curve_file = tmp_path / "nan_sd.14c"
+    curve_file.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    rc = main([subcommand, dets_file_multi, "--curve", str(curve_file), "--out", str(out)])
+    assert rc == 2
+    assert f"{curve_file}:{k + 1}: non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+FULL_HYPER = ["lambda=1e-4", "nu1=0.25", "nu2=100", "xi=3000", "psi=1e-6"]
+
+
+@pytest.mark.parametrize("hyper", [[], FULL_HYPER])
+def test_dpmm_date_off_the_curve_is_data_error(tmp_path, synth_curve_file, capsys, hyper):
+    dets = write_dets(
+        tmp_path / "dets.csv", [("a", 3000.0, 30.0), ("b", 3100.0, 30.0), ("far", 90000.0, 30.0)]
+    )
+    out = tmp_path / "run"
+    args = dpmm_args(dets, synth_curve_file, out)
+    for pair in hyper:
+        args += ["--hyper", pair]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "dets.csv" in err and "'far'" in err and "no likelihood mass" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra", [["--n", "5,"], ["--n", "0"], ["--n", "5,-1"], ["--jobs", "0"], ["--jobs", "-3"]]
+)
+def test_simulate_bad_integer_option_is_usage_error(tmp_path, synth_curve_file, extra):
+    out = tmp_path / "sim"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--curve", str(synth_curve_file), "--out", str(out)] + extra)
+    assert exc.value.code == 1
+    assert not out.exists()

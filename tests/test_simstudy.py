@@ -130,6 +130,8 @@ def test_run_study_smoke_and_parallel_determinism(synth_curve):
         assert set(r.indep_loss) == {"l1", "l2"}
         assert all(v > 0 for v in r.indep_loss.values())
         assert all(v > 0 for v in r.dpmm_loss.values())
+        keys = {f"{s}_{k}" for s in ("polya", "walker") for k in ("l1", "l2")}
+        assert set(r.dpmm_loss) == keys and set(r.improvement) == keys
 
     rows2, runs2 = run_study(
         ["uniform"], [6], 2, synth_curve, master_seed=7, chain_len=(60, 20, 4), jobs=2
