@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -38,7 +39,7 @@ from carbcal.calibrate import (
     spd,
     write_csv,
 )
-from carbcal.dpmm import ChainConfig, run_chain
+from carbcal.dpmm import ChainConfig, check_chain_length, run_chain
 from carbcal.errors import CarbcalError, DataError
 from carbcal.predictive import (
     cluster_count_posterior,
@@ -180,10 +181,11 @@ def _require_curve(args, parser):
 
 def _resolution(args, curve) -> float:
     """``--resolution``, or the default grid spacing for the curve's span."""
-    resolution = args.resolution or default_resolution(curve.support[1] - curve.support[0])
-    if not resolution > 0:
-        raise DataError(f"--resolution must be > 0, got {resolution:g}")
-    return resolution
+    if args.resolution is None:
+        return default_resolution(curve.support[1] - curve.support[0])
+    if not (math.isfinite(args.resolution) and args.resolution > 0):
+        raise DataError(f"--resolution must be a finite number > 0, got {args.resolution:g}")
+    return args.resolution
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +244,14 @@ def _write_age_summaries(samples, resolution: float, path: Path) -> None:
 def _cmd_dpmm(args, parser) -> int:
     curve = _require_curve(args, parser)
     dets = read_determinations(args.determinations)
+    seen = set()
+    for det in dets:
+        if det.id in seen:
+            raise DataError(
+                f"{args.determinations}: id {det.id!r} appears more than once; "
+                "dpmm needs one row per determination"
+            )
+        seen.add(det.id)
     overrides = _parse_hyper_overrides(args.hyper)
     hyper = _resolve_hyper(args.determinations, dets, curve, overrides)
     resolution = _resolution(args, curve)
@@ -291,6 +301,7 @@ def _cmd_simulate(args, parser) -> int:
         n_values = [_int_at_least(1)(v) for v in args.n.split(",")]
     except (ValueError, argparse.ArgumentTypeError):
         parser.error(f"argument --n: expected comma-separated integers >= 1, got {args.n!r}")
+    check_chain_length(args.iters, args.burn, args.thin)
     config = {
         "families": families,
         "n_values": n_values,

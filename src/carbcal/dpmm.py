@@ -8,13 +8,20 @@ parameters, or stick weights plus slice-truncated reallocation); every
 cluster's mean/precision from the conjugate normal-gamma conditional; the
 concentration by Metropolis-Hastings; and the overall cluster centring by
 an exact normal draw.
+
+Marginal-weights ("polya") reallocation is sequential over dates: each
+label is drawn given all the others.  One ``polya_reallocate`` call makes
+that pass over every date, keeping the counts and per-cluster log terms up
+to date as labels move instead of rebuilding them for each date.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +78,19 @@ class DpmmState:
                 raise AssertionError("calendar age outside curve support")
 
 
+def check_chain_length(n_iter: int, n_burn: int, thin: int) -> None:
+    """Raise ``DataError`` unless the run length stores at least one sample."""
+    if not 0 <= n_burn < n_iter:
+        raise DataError("need 0 <= n_burn < n_iter")
+    if thin < 1:
+        raise DataError("thin must be >= 1")
+    if (n_iter - n_burn) // thin < 1:
+        raise DataError(
+            f"thin {thin} exceeds the {n_iter - n_burn} post-burn-in "
+            "iterations; no sample would be stored"
+        )
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """Run-length, sampler variant, seed, and priors for one chain."""
@@ -85,15 +105,7 @@ class ChainConfig:
     def __post_init__(self):
         if self.sampler not in SAMPLERS:
             raise DataError(f"unknown sampler {self.sampler!r}; use 'polya' or 'walker'")
-        if not 0 <= self.n_burn < self.n_iter:
-            raise DataError("need 0 <= n_burn < n_iter")
-        if self.thin < 1:
-            raise DataError("thin must be >= 1")
-        if self.n_stored < 1:
-            raise DataError(
-                f"thin {self.thin} exceeds the {self.n_iter - self.n_burn} post-burn-in "
-                "iterations; no sample would be stored"
-            )
+        check_chain_length(self.n_iter, self.n_burn, self.thin)
 
     @property
     def n_stored(self) -> int:
@@ -188,20 +200,25 @@ def _draw_normal_gamma(mu0, lam, nu1, nu2, rng):
     return phi, tau
 
 
+def _base_marginal_terms(hyper: Hyperparameters):
+    """Degrees of freedom, squared scale, log normaliser and exponent of the base marginal."""
+    df = 2.0 * hyper.nu1
+    scale2 = hyper.nu2 * (hyper.lam + 1.0) / (hyper.nu1 * hyper.lam)
+    log_norm = (
+        math.lgamma(0.5 * (df + 1.0))
+        - math.lgamma(0.5 * df)
+        - 0.5 * math.log(df * math.pi * scale2)
+    )
+    return df, scale2, log_norm, 0.5 * (df + 1.0)
+
+
 def _log_base_marginal(theta, mu_phi: float, hyper: Hyperparameters, log1p=math.log1p):
     """Log density of theta with the cluster parameters integrated out.
 
     Pass ``log1p=np.log1p`` to evaluate an array of ages at once.
     """
-    df = 2.0 * hyper.nu1
-    scale2 = hyper.nu2 * (hyper.lam + 1.0) / (hyper.nu1 * hyper.lam)
-    z2 = (theta - mu_phi) ** 2 / scale2
-    return (
-        math.lgamma(0.5 * (df + 1.0))
-        - math.lgamma(0.5 * df)
-        - 0.5 * math.log(df * math.pi * scale2)
-        - 0.5 * (df + 1.0) * log1p(z2 / df)
-    )
+    df, scale2, log_norm, expo = _base_marginal_terms(hyper)
+    return log_norm - expo * log1p((theta - mu_phi) ** 2 / scale2 / df)
 
 
 def base_marginal(theta, mu_phi: float, hyper: Hyperparameters):
@@ -269,7 +286,7 @@ def init_state(
     )
     update_cluster_params(state, hyper, rng)
     if sampler == "walker":
-        walker_update_weights(state, hyper, rng)
+        walker_update_weights(state, rng)
     return state
 
 
@@ -317,75 +334,80 @@ def update_theta(
 # step 2, polya variant
 
 
-def _log_categorical_draw(log_weights, rng) -> int:
-    """Sample an index given unnormalised log weights (max-subtracted)."""
-    m = max(log_weights)
-    probs = [math.exp(lw - m) for lw in log_weights]
-    total = sum(probs)
-    target = rng.random() * total
-    acc = 0.0
-    for idx, p in enumerate(probs):
-        acc += p
-        if acc >= target:
-            return idx
-    return len(probs) - 1
+def polya_reallocate(state: DpmmState, hyper: Hyperparameters, rng) -> np.ndarray:
+    """Resample every label in index order under the marginal-weights scheme.
 
+    One call is one sweep.  For date i, each existing cluster weighs its
+    occupancy without i times its normal density at i's age; a new cluster
+    weighs the concentration times the base marginal.  A new cluster's
+    parameters come from the conditional given its one member.  An emptied
+    cluster is removed and the labels above it shift down by one, so the
+    clusters keep their order (later draws visit them in that order).
 
-def _drop_cluster(state: DpmmState, j: int) -> None:
-    keep = np.arange(state.n_clusters) != j
-    state.phi = state.phi[keep]
-    state.tau = state.tau[keep]
-    state.c = np.where(state.c > j, state.c - 1, state.c)
-
-
-def polya_reallocate(state: DpmmState, i: int, hyper: Hyperparameters, rng) -> int:
-    """Resample one label under the marginal-weights scheme.
-
-    Existing clusters weigh occupancy (excluding i) times the cluster normal
-    density; a new cluster weighs concentration times the base marginal.  If
-    a new cluster is opened, its parameters come from the conditional given
-    its one member; an emptied cluster is removed and labels compacted.
+    The labels, the counts, the cluster parameters and the per-cluster terms
+    ``0.5*log(tau)`` and ``0.5*tau`` are Python lists kept up to date as
+    labels move and clusters open or close; ``log n`` comes from a table.
+    They are built once and written back to the state at the end.  Returns
+    ``state.c``.
     """
-    theta_i = float(state.theta[i])
-    old = int(state.c[i])
-    counts = state.occupancy()
-    counts[old] -= 1
-
+    n = len(state.c)
+    theta = state.theta.tolist()
+    c = state.c.tolist()
     phi = state.phi.tolist()
     tau = state.tau.tolist()
-    log_w = []
-    for j in range(len(phi)):
-        n_j = counts[j]
-        if n_j == 0:
-            log_w.append(-math.inf)
-            continue
-        dev = theta_i - phi[j]
-        log_w.append(math.log(n_j) + 0.5 * math.log(tau[j]) - 0.5 * tau[j] * dev * dev)
-    log_w.append(
-        math.log(state.alpha) + _log_base_marginal(theta_i, state.mu_phi, hyper) + 0.5 * LOG_2PI
-    )
+    counts = np.bincount(state.c, minlength=len(phi)).tolist()
+    half_log_tau = [0.5 * math.log(t) for t in tau]
+    half_tau = [0.5 * t for t in tau]
+    log_count = [-math.inf] + [math.log(m) for m in range(1, n + 1)]
+    df, scale2, log_norm, expo = _base_marginal_terms(hyper)
+    log_alpha = math.log(state.alpha)
+    mu_phi = state.mu_phi
     # The 2*pi constant differs between the normal terms (dropped) and the t
     # marginal (full density); reinstate it so the weights are consistent.
+    half_log_2pi = 0.5 * LOG_2PI
+    exp, log1p, random = math.exp, math.log1p, rng.random
 
-    choice = _log_categorical_draw(log_w, rng)
-    if choice == len(phi):
-        new_phi, new_tau = _draw_cluster_params(
-            1.0, theta_i, theta_i * theta_i, state.mu_phi, hyper, rng
+    for i, t in enumerate(theta):
+        old = c[i]
+        counts[old] -= 1
+        log_w = [
+            log_count[m] + hl - ht * (t - p) * (t - p)
+            for m, hl, ht, p in zip(counts, half_log_tau, half_tau, phi)
+        ]
+        log_w.append(
+            log_alpha + (log_norm - expo * log1p((t - mu_phi) ** 2 / scale2 / df)) + half_log_2pi
         )
-        state.phi = np.append(state.phi, new_phi)
-        state.tau = np.append(state.tau, new_tau)
-        choice = state.n_clusters - 1
-    state.c[i] = choice
-    if counts[old] == 0 and choice != old:
-        _drop_cluster(state, old)
-    return int(state.c[i])
+        top = max(log_w)
+        weights = [exp(lw - top) for lw in log_w]
+        target = random() * sum(weights)
+        # The first cluster whose running weight reaches the target; the new
+        # cluster when rounding leaves every running weight short of it.
+        j = min(bisect_left(list(accumulate(weights)), target), len(phi))
+        if j == len(phi):
+            new_phi, new_tau = _draw_cluster_params(1.0, t, t * t, mu_phi, hyper, rng)
+            phi.append(new_phi)
+            tau.append(new_tau)
+            half_log_tau.append(0.5 * math.log(new_tau))
+            half_tau.append(0.5 * new_tau)
+            counts.append(0)
+        c[i] = j
+        counts[j] += 1
+        if counts[old] == 0 and j != old:
+            for per_cluster in (phi, tau, half_log_tau, half_tau, counts):
+                del per_cluster[old]
+            c = [label - 1 if label > old else label for label in c]
+
+    state.c[:] = c
+    state.phi = np.array(phi)
+    state.tau = np.array(tau)
+    return state.c
 
 
 # ---------------------------------------------------------------------------
 # step 2, walker variant
 
 
-def walker_update_weights(state: DpmmState, hyper: Hyperparameters, rng):
+def walker_update_weights(state: DpmmState, rng):
     """Resample stick weights from their Beta conditionals given allocations."""
     counts = state.occupancy().astype(float)
     tail = np.concatenate([np.cumsum(counts[::-1])[::-1][1:], [0.0]])
@@ -629,12 +651,11 @@ def run_chain(dets, curve: CalibrationCurve, cfg: ChainConfig) -> PosteriorSampl
 
         before = state.alpha
         if cfg.sampler == "polya":
-            for i in range(n):
-                polya_reallocate(state, i, hyper, rng)
+            polya_reallocate(state, hyper, rng)
             update_cluster_params(state, hyper, rng)
             update_alpha(state, hyper, rng)
         else:
-            walker_update_weights(state, hyper, rng)
+            walker_update_weights(state, rng)
             u = (1.0 - rng.random(n)) * state.w[state.c]
             _extend_sticks(state, hyper, rng, float(u.min()))
             walker_reallocate(state, u, rng)

@@ -172,3 +172,78 @@ def cluster_count_marginal(partition_probs):
         k = len(set(key))
         out[k] = out.get(k, 0.0) + pw
     return out
+
+
+def _ref_log_categorical_draw(log_weights, rng) -> int:
+    m = max(log_weights)
+    probs = [math.exp(lw - m) for lw in log_weights]
+    total = sum(probs)
+    target = rng.random() * total
+    acc = 0.0
+    for idx, p in enumerate(probs):
+        acc += p
+        if acc >= target:
+            return idx
+    return len(probs) - 1
+
+
+def _ref_drop_cluster(state, j) -> None:
+    keep = np.arange(len(state.phi)) != j
+    state.phi = state.phi[keep]
+    state.tau = state.tau[keep]
+    state.c = np.where(state.c > j, state.c - 1, state.c)
+
+
+def ref_polya_reallocate_one(state, i, hyper, rng) -> int:
+    """Reference polya step for date ``i`` alone, one date per call.
+
+    The per-date marginal-weights reallocation with explicit cluster
+    parameters, written as a straightforward loop that rebuilds counts and
+    log terms for every date.  A sweep of the package's polya reallocation
+    must reproduce ``n`` calls of it, for i = 0..n-1, bit for bit, drawing
+    the same random numbers in the same order.
+    """
+    theta_i = float(state.theta[i])
+    old = int(state.c[i])
+    counts = np.bincount(state.c, minlength=len(state.phi))
+    counts[old] -= 1
+
+    phi = state.phi.tolist()
+    tau = state.tau.tolist()
+    log_w = []
+    for j in range(len(phi)):
+        n_j = counts[j]
+        if n_j == 0:
+            log_w.append(-math.inf)
+            continue
+        dev = theta_i - phi[j]
+        log_w.append(math.log(n_j) + 0.5 * math.log(tau[j]) - 0.5 * tau[j] * dev * dev)
+    # Student-t prior predictive of a new cluster, with the 2*pi constant the
+    # normal terms drop put back.
+    df = 2.0 * hyper.nu1
+    scale2 = hyper.nu2 * (hyper.lam + 1.0) / (hyper.nu1 * hyper.lam)
+    z2 = (theta_i - state.mu_phi) ** 2 / scale2
+    log_t = (
+        math.lgamma(0.5 * (df + 1.0))
+        - math.lgamma(0.5 * df)
+        - 0.5 * math.log(df * math.pi * scale2)
+        - 0.5 * (df + 1.0) * math.log1p(z2 / df)
+    )
+    log_w.append(math.log(state.alpha) + log_t + 0.5 * math.log(2.0 * math.pi))
+
+    choice = _ref_log_categorical_draw(log_w, rng)
+    if choice == len(phi):
+        # Normal-gamma conditional given the one member theta_i.
+        lam_n = hyper.lam + 1.0
+        mu_n = (hyper.lam * state.mu_phi + theta_i) / lam_n
+        nu1_n = hyper.nu1 + 0.5
+        nu2_n = hyper.nu2 + 0.0 + hyper.lam * 1.0 * (theta_i - state.mu_phi) ** 2 / (2.0 * lam_n)
+        new_tau = rng.gamma(nu1_n, 1.0 / nu2_n)
+        new_phi = rng.normal(mu_n, 1.0 / math.sqrt(lam_n * new_tau))
+        state.phi = np.append(state.phi, new_phi)
+        state.tau = np.append(state.tau, new_tau)
+        choice = len(state.phi) - 1
+    state.c[i] = choice
+    if counts[old] == 0 and choice != old:
+        _ref_drop_cluster(state, old)
+    return int(state.c[i])

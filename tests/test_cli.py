@@ -434,3 +434,39 @@ def test_simulate_bad_integer_option_is_usage_error(tmp_path, synth_curve_file, 
         main(["simulate", "--curve", str(synth_curve_file), "--out", str(out)] + extra)
     assert exc.value.code == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["calibrate", "dpmm"])
+@pytest.mark.parametrize("resolution", ["0", "inf"])
+def test_zero_or_non_finite_resolution_fails_before_manifest(
+    tmp_path, dets_file_multi, synth_curve_file, capsys, subcommand, resolution
+):
+    # A zero resolution used to fall back to the default grid spacing.
+    out = tmp_path / "run"
+    args = [subcommand, dets_file_multi, "--curve", str(synth_curve_file), "--out", str(out)]
+    rc = main(args + ["--resolution", resolution])
+    assert rc == 2
+    assert "--resolution" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--iters", "10", "--burn", "20"], ["--thin", "0"], ["--iters", "10", "--burn", "5", "--thin", "6"]],
+)
+def test_simulate_bad_chain_length_fails_before_output(tmp_path, synth_curve_file, extra):
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--curve", str(synth_curve_file), "--out", str(out)] + extra)
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_dpmm_repeated_id_is_data_error(tmp_path, synth_curve_file, capsys):
+    dets = write_dets(
+        tmp_path / "dets.csv", [("a", 3000.0, 30.0), ("b", 3100.0, 30.0), ("a", 3200.0, 30.0)]
+    )
+    out = tmp_path / "run"
+    assert main(dpmm_args(dets, synth_curve_file, out)) == 2
+    err = capsys.readouterr().err
+    assert "dets.csv" in err and "'a'" in err
+    assert not out.exists()

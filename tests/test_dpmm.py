@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -268,7 +269,7 @@ def test_polya_single_obs_stays_single_cluster():
     rng = np.random.default_rng(3)
     state = fixed_theta_state([500.0], [0], [500.0], [1e-4])
     for _ in range(200):
-        polya_reallocate(state, 0, hyper, rng)
+        polya_reallocate(state, hyper, rng)
         assert state.n_clusters == 1
         assert state.c[0] == 0
 
@@ -280,7 +281,7 @@ def test_polya_tiny_alpha_never_opens_cluster():
         [480.0, 500.0, 520.0], [0, 0, 0], [500.0], [60.0**-2], alpha=1e-12
     )
     for _ in range(10_000):
-        polya_reallocate(state, 0, hyper, rng)
+        polya_reallocate(state, hyper, rng)
     assert state.n_clusters == 1
 
 
@@ -296,8 +297,7 @@ def test_polya_far_separated_groups_find_two_clusters():
     state = fixed_theta_state(thetas, [0] * 6, [5e5], [1e-4], mu_phi=5e5)
     seen = []
     for sweep in range(600):
-        for i in range(6):
-            polya_reallocate(state, i, hyper, rng)
+        polya_reallocate(state, hyper, rng)
         update_cluster_params(state, hyper, rng)
         update_alpha(state, hyper, rng)
         if sweep >= 100:
@@ -318,8 +318,7 @@ def test_polya_partition_posterior_matches_enumeration():
     freq = {}
     n_sweeps, burn = 50_000, 5_000
     for sweep in range(n_sweeps):
-        for i in range(6):
-            polya_reallocate(state, i, hyper, rng)
+        polya_reallocate(state, hyper, rng)
         update_cluster_params(state, hyper, rng)
         update_alpha(state, hyper, rng)
         update_mu_phi(state, hyper, rng)
@@ -331,16 +330,73 @@ def test_polya_partition_posterior_matches_enumeration():
     assert oracles.total_variation(empirical, exact) < 0.03
 
 
+def _polya_sweep_cases():
+    """States whose sweeps open clusters, close them, or do both."""
+    mixed = np.random.default_rng(11)
+    thetas = np.concatenate(
+        [mixed.normal(300.0, 20.0, 20), mixed.normal(700.0, 40.0, 25), mixed.normal(1500.0, 5.0, 15)]
+    )
+    labels = np.arange(60) % 8
+    yield "mixture", fixed_theta_state(
+        thetas, labels, np.linspace(300.0, 1500.0, 8), np.full(8, 30.0**-2), alpha=1.0
+    )
+    # A concentration this large makes a new cluster the likeliest move.
+    yield "opens", fixed_theta_state(
+        np.linspace(400.0, 600.0, 20), np.arange(20) % 2, [450.0, 550.0], [50.0**-2] * 2,
+        alpha=50.0,
+    )
+    # Singletons sitting inside one big cluster, labels interleaved so that
+    # closing one shifts the labels of dates on both sides of it.
+    labels = [0] * 16
+    for pos, label in zip((0, 3, 7, 10, 15), range(1, 6)):
+        labels[pos] = label
+    yield "closes", fixed_theta_state(
+        np.linspace(480.0, 520.0, 16), labels, [500.0] + [5000.0] * 5, [30.0**-2] * 6,
+        alpha=1e-6,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_polya_sweep_matches_per_date_reference(seed):
+    # One sweep must reproduce n calls of the per-date reference step bit for
+    # bit: labels, cluster parameters and the generator's state after it.
+    hyper = simple_hyper()
+    events = {}
+    for name, state in _polya_sweep_cases():
+        ref = copy.deepcopy(state)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        opened = closed = 0
+        for _ in range(3):
+            polya_reallocate(state, hyper, rng)
+            for i in range(len(ref.theta)):
+                k = ref.n_clusters
+                oracles.ref_polya_reallocate_one(ref, i, hyper, ref_rng)
+                opened += ref.n_clusters > k
+                closed += ref.n_clusters < k
+            assert state.c.tolist() == ref.c.tolist(), name
+            assert state.phi.tobytes() == ref.phi.tobytes(), name
+            assert state.tau.tobytes() == ref.tau.tobytes(), name
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, name
+
+            k = state.n_clusters
+            assert len(state.phi) == len(state.tau) == k
+            assert state.c.min() == 0 and state.c.max() == k - 1
+            assert np.all(state.occupancy() > 0), name
+        events[name] = (opened, closed)
+    assert events["opens"][0] > 0
+    assert events["closes"][1] > 0
+    assert events["mixture"][0] > 0 and events["mixture"][1] > 0
+
+
 # ---------------------------------------------------------------------------
 # walker updates
 
 
 def test_walker_weights_single_cluster_beta_mean():
-    hyper = simple_hyper()
     n, alpha = 12, 0.01
     state = fixed_theta_state([500.0] * n, [0] * n, [500.0], [1e-4], alpha=alpha)
     rng = np.random.default_rng(6)
-    draws = np.array([walker_update_weights(state, hyper, rng)[0] for _ in range(20_000)])
+    draws = np.array([walker_update_weights(state, rng)[0] for _ in range(20_000)])
     expected = (1 + n) / (1 + n + alpha)
     assert draws.mean() == pytest.approx(expected, abs=0.002)
 
@@ -348,13 +404,12 @@ def test_walker_weights_single_cluster_beta_mean():
 def test_walker_empty_tail_stick_prior_mean():
     # A represented stick with no members and nothing beyond it has the prior
     # break v ~ Beta(1, alpha); recover its mean from the stick algebra.
-    hyper = simple_hyper()
     alpha = 2.5
     state = fixed_theta_state([500.0] * 4, [0] * 4, [500.0, 600.0], [1e-4, 1e-4], alpha=alpha)
     rng = np.random.default_rng(8)
     vs = []
     for _ in range(20_000):
-        w = walker_update_weights(state, hyper, rng)
+        w = walker_update_weights(state, rng)
         vs.append(w[1] / (1.0 - w[0]))
     assert np.mean(vs) == pytest.approx(1.0 / (1.0 + alpha), abs=0.003)
 
@@ -366,7 +421,7 @@ def test_walker_stick_algebra_exact():
     )
     rng = np.random.default_rng(9)
     for _ in range(200):
-        walker_update_weights(state, hyper, rng)
+        walker_update_weights(state, rng)
         _extend_sticks(state, hyper, rng, 1e-4)
         assert np.all(state.w > 0)
         assert state.w.sum() < 1.0
@@ -443,11 +498,11 @@ def test_walker_partition_posterior_matches_enumeration():
 
     rng = np.random.default_rng(2718)
     state = fixed_theta_state(thetas, [0, 0, 1, 1], [25.0, 345.0], [1e-3, 1e-3], mu_phi=185.0)
-    walker_update_weights(state, hyper, rng)
+    walker_update_weights(state, rng)
     freq = {}
     n_sweeps, burn = 100_000, 5_000
     for sweep in range(n_sweeps):
-        walker_update_weights(state, hyper, rng)
+        walker_update_weights(state, rng)
         u = (1.0 - rng.random(4)) * state.w[state.c]
         _extend_sticks(state, hyper, rng, float(u.min()))
         walker_reallocate(state, u, rng)
