@@ -110,12 +110,17 @@ def load_curve(path) -> CalibrationCurve:
     """
     rows = []
     lines = []
-    with open(path, encoding="latin-1") as fh:
+    try:
+        fh = open(path, encoding="latin-1")
+    except OSError as exc:
+        raise CurveFormatError(f"cannot read curve file: {exc.strerror}", path=path) from None
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = [p.strip() for p in line.split(",")]
+            # Only the first three columns are read; float() strips whitespace.
+            parts = line.split(",", 3)
             if len(parts) < 3:
                 raise CurveFormatError(
                     f"expected at least 3 comma-separated columns, got {len(parts)}",
@@ -123,10 +128,16 @@ def load_curve(path) -> CalibrationCurve:
                     line=lineno,
                 )
             try:
-                values = [float(p) for p in parts[:3]]
+                rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
             except ValueError as exc:
+                # Parse the stripped fields again, so the message quotes the bad token bare.
+                for part in parts[:3]:
+                    try:
+                        float(part.strip())
+                    except ValueError as stripped_exc:
+                        exc = stripped_exc
+                        break
                 raise CurveFormatError(f"unparseable number: {exc}", path=path, line=lineno)
-            rows.append(values)
             lines.append(lineno)
     if len(rows) < 2:
         raise CurveFormatError("curve file has fewer than 2 data rows", path=path)

@@ -8,11 +8,11 @@ over curve uncertainty, normalised on a uniform grid under a flat age prior.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from carbcal.calcurve import CalibrationCurve
 from carbcal.errors import DataError
@@ -97,30 +97,43 @@ class Hyperparameters:
 
 
 def read_determinations(path) -> list[Determination]:
-    """Read a ``id,c14_age,c14_sig`` CSV file of determinations."""
+    """Read a ``id,c14_age,c14_sig`` CSV file of determinations.
+
+    A file that cannot be opened or is not UTF-8 text raises ``DataError``
+    naming it (and, for a decoding failure, the line).
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read determination file: {exc.strerror}") from None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{lineno}: not valid UTF-8 text") from None
     dets = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty determination file")
-        expected = ["id", "c14_age", "c14_sig"]
-        if [h.strip().lower() for h in header[:3]] != expected:
-            raise DataError(
-                f"{path}:1: expected header 'id,c14_age,c14_sig', got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 3:
-                raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                det = Determination(row[0].strip(), float(row[1]), float(row[2]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}")
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}")
-            dets.append(det)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty determination file")
+    expected = ["id", "c14_age", "c14_sig"]
+    if [h.strip().lower() for h in header[:3]] != expected:
+        raise DataError(
+            f"{path}:1: expected header 'id,c14_age,c14_sig', got {','.join(header)!r}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) < 3:
+            raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+        try:
+            det = Determination(row[0].strip(), float(row[1]), float(row[2]))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}")
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}")
+        dets.append(det)
     if not dets:
         raise DataError(f"{path}: no determinations found")
     return dets
@@ -258,20 +271,31 @@ def map_estimates(dets, curve: CalibrationCurve, coarse_resolution: float = COAR
 
     Ties are broken toward the smallest calendar age (first grid argmax).  A
     date whose likelihood underflows to zero all over the grid raises the
-    ``DataError`` that :func:`calibrate_independent` raises for it.
+    ``DataError`` that :func:`calibrate_independent` raises for it (the first
+    such date in input order).  The variance terms are computed once per
+    distinct sigma; dates are scanned one at a time, since one (dates x grid)
+    array expression was slower for its memory traffic.
     """
     if not coarse_resolution > 0:
         raise DataError("coarse_resolution must be > 0")
     theta = uniform_grid(*curve.support, coarse_resolution)
     m, rho = curve.at(theta)
     rho2 = rho * rho
-    out = np.empty(len(dets))
+    by_sigma: dict[float, list[int]] = {}
     for k, det in enumerate(dets):
-        var = rho2 + det.sigma * det.sigma
-        loglik = -0.5 * (det.x - m) ** 2 / var - 0.5 * np.log(var)
-        best = int(np.argmax(loglik))
-        _require_mass(det, curve, math.exp(loglik[best]))
-        out[k] = theta[best]
+        by_sigma.setdefault(det.sigma, []).append(k)
+    out = np.empty(len(dets))
+    peak = np.empty(len(dets))
+    for sigma, members in by_sigma.items():
+        var = rho2 + sigma * sigma
+        half_log_var = 0.5 * np.log(var)
+        for k in members:
+            loglik = -0.5 * (dets[k].x - m) ** 2 / var - half_log_var
+            best = int(np.argmax(loglik))
+            peak[k] = loglik[best]
+            out[k] = theta[best]
+    for det, p in zip(dets, peak.tolist()):
+        _require_mass(det, curve, math.exp(p))
     return out
 
 
@@ -289,17 +313,21 @@ def default_hyperparameters(
     curve: CalibrationCurve,
     coarse_resolution: float = COARSE_RESOLUTION,
     mad_mode: str = "median",
+    theta_map=None,
 ) -> Hyperparameters:
     """Adaptive default hyperparameters from a fast preliminary calibration.
 
     A coarse-grid MAP age per determination drives scale-invariant defaults:
     the spread prior allows clusters up to roughly the spread of the MAP ages,
     cluster centres may roam about their overall range, and the concentration
-    prior is a standard exponential.
+    prior is a standard exponential.  ``theta_map`` passes in MAP ages the
+    caller already has (from :func:`map_estimates`); by default they are
+    computed here at ``coarse_resolution``.
     """
     if len(dets) < 2:
         raise DataError("default_hyperparameters needs at least 2 determinations")
-    theta_map = map_estimates(dets, curve, coarse_resolution)
+    if theta_map is None:
+        theta_map = map_estimates(dets, curve, coarse_resolution)
     spread = theta_map.max() - theta_map.min()
     if spread == 0:
         raise DataError(
@@ -333,6 +361,10 @@ def prior_cluster_sd_quantile(hyper: Hyperparameters, q: float) -> float:
     the cluster sd, whose q-quantile maps to the (1-q)-quantile of the
     precision.
     """
+    # scipy is imported here, not at module level: no CLI path needs it and
+    # it would double the command-line start-up time.
+    from scipy.special import gammaincinv
+
     if not 0 < q < 1:
         raise DataError("quantile must be in (0, 1)")
     tau_q = gammaincinv(hyper.nu1, 1.0 - q) / hyper.nu2

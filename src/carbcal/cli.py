@@ -46,7 +46,6 @@ from carbcal.predictive import (
     default_predictive_grid,
     predictive_density,
 )
-from carbcal import simstudy
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,6 +87,14 @@ def _safe_id(raw: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", raw) or "unnamed"
 
 
+def _check_outdir(outdir: Path, force: bool) -> None:
+    """Refuse an output path that is not a directory, or is non-empty without ``--force``."""
+    if outdir.exists() and not outdir.is_dir():
+        raise DataError(f"output path {outdir} exists and is not a directory")
+    if outdir.exists() and any(outdir.iterdir()) and not force:
+        raise DataError(f"output directory {outdir} exists and is not empty; use --force")
+
+
 def _start_run(args, config: dict, seed=None) -> Path:
     """Create the output directory and write the manifest that reproduces the run."""
     if args.out is not None:
@@ -95,9 +102,11 @@ def _start_run(args, config: dict, seed=None) -> Path:
     else:
         tag = hashlib.sha1(str(seed).encode()).hexdigest()[:8]
         outdir = Path(f"carbcal-{time.strftime('%Y%m%d-%H%M%S')}-{tag}")
-    if outdir.exists() and any(outdir.iterdir()) and not args.force:
-        raise DataError(f"output directory {outdir} exists and is not empty; use --force")
-    outdir.mkdir(parents=True, exist_ok=True)
+    _check_outdir(outdir, args.force)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {outdir}: {exc.strerror}") from None
     manifest = {
         "subcommand": args.subcommand,
         "inputs": [str(args.determinations)] if "determinations" in args else [],
@@ -139,25 +148,29 @@ def _parse_hyper_overrides(pairs) -> dict:
     return overrides
 
 
-def _resolve_hyper(path, dets, curve, overrides: dict) -> Hyperparameters:
-    """Adaptive defaults, overridden field by field; or fully manual.
+def _resolve_hyper(path, dets, curve, overrides: dict):
+    """Hyperparameters and coarse MAP ages of a ``dpmm`` run.
 
-    Errors in the data name the determinations file ``path``.  A fully
-    manual set skips the checks on the spread of the dates, but not the
-    refusal of a date with no likelihood mass, which ``map_estimates`` makes.
+    The hyperparameters are the adaptive defaults overridden field by field,
+    or a fully manual set.  The MAP ages are computed once, here, and the
+    run reuses them.  Errors in the data name the determinations file
+    ``path``.  A fully manual set skips the checks on the spread of the
+    dates, but not the refusal of a date with no likelihood mass, which
+    ``map_estimates`` makes.
     """
     required = {f.name for f in fields(Hyperparameters) if f.default is MISSING}
     try:
+        theta_map = map_estimates(dets, curve)
         try:
-            hyper = default_hyperparameters(dets, curve)
+            hyper = default_hyperparameters(dets, curve, theta_map=theta_map)
         except DataError:
             if not required <= overrides.keys():
                 raise
-            map_estimates(dets, curve)
             hyper = None
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    return Hyperparameters(**overrides) if hyper is None else replace(hyper, **overrides)
+    hyper = Hyperparameters(**overrides) if hyper is None else replace(hyper, **overrides)
+    return hyper, theta_map
 
 
 def _add_common(parser, needs_dets=True):
@@ -253,7 +266,7 @@ def _cmd_dpmm(args, parser) -> int:
             )
         seen.add(det.id)
     overrides = _parse_hyper_overrides(args.hyper)
-    hyper = _resolve_hyper(args.determinations, dets, curve, overrides)
+    hyper, theta_map = _resolve_hyper(args.determinations, dets, curve, overrides)
     resolution = _resolution(args, curve)
     cfg = ChainConfig(
         n_iter=args.iters,
@@ -266,10 +279,10 @@ def _cmd_dpmm(args, parser) -> int:
     config = asdict(cfg)
     config.update(resolution=resolution, chains=args.chains)
     outdir = _start_run(args, config, seed=args.seed)
-    grid = default_predictive_grid(curve, map_estimates(dets, curve), resolution)
+    grid = default_predictive_grid(curve, theta_map, resolution)
     for k in range(args.chains):
         suffix = "" if args.chains == 1 else f"_chain{k}"
-        samples = run_chain(dets, curve, replace(cfg, seed=cfg.seed + k))
+        samples = run_chain(dets, curve, replace(cfg, seed=cfg.seed + k), theta_map)
         samples.save(outdir / f"samples{suffix}")
         pred = predictive_density(samples, hyper, grid)
         write_csv(
@@ -288,6 +301,9 @@ def _cmd_dpmm(args, parser) -> int:
 
 
 def _cmd_simulate(args, parser) -> int:
+    # imported here: the other subcommands need none of it
+    from carbcal import simstudy
+
     curve = _require_curve(args, parser)
     families = [f.strip() for f in args.family.split(",") if f.strip()]
     if not families:
@@ -381,6 +397,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            _check_outdir(Path(args.out), args.force)
         return args.func(args, parser)
     except SystemExit:
         raise

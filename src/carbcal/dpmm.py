@@ -624,9 +624,14 @@ def _store_snapshot(state: DpmmState, sampler: str) -> ClusterSample:
     )
 
 
-def run_chain(dets, curve: CalibrationCurve, cfg: ChainConfig) -> PosteriorSamples:
+def run_chain(
+    dets, curve: CalibrationCurve, cfg: ChainConfig, theta_map=None
+) -> PosteriorSamples:
     """Run one Gibbs chain and return the thinned posterior samples.
 
+    The chain starts at ``theta_map``, the coarse MAP ages of
+    :func:`~carbcal.calibrate.map_estimates`, computed by :func:`init_state`
+    if not given.
     Deterministic given the config seed: rerunning with identical inputs
     reproduces the output bit for bit.
     """
@@ -635,7 +640,6 @@ def run_chain(dets, curve: CalibrationCurve, cfg: ChainConfig) -> PosteriorSampl
     n = len(dets)
     x = np.array([d.x for d in dets])
     var_obs = np.array([d.sigma * d.sigma for d in dets])
-    theta_map = map_estimates(dets, curve)
     state = init_state(dets, curve, hyper, rng, sampler=cfg.sampler, theta_map=theta_map)
 
     stored_theta = np.empty((cfg.n_stored, n))

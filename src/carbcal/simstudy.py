@@ -8,7 +8,6 @@ against the known truth quantify the improvement.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +18,7 @@ from carbcal.calibrate import (
     calibrate_independent,
     default_hyperparameters,
     default_resolution,
+    map_estimates,
 )
 from carbcal.dpmm import SAMPLERS, ChainConfig, run_chain
 from carbcal.errors import DataError
@@ -153,7 +153,8 @@ def _execute_run(args) -> RunResult:
     rng = np.random.default_rng(run_seed)
     scenario = gen_scenario(family, n, curve, rng)
     truth = scenario.true_theta
-    hyper = default_hyperparameters(scenario.dets, curve)
+    theta_map = map_estimates(scenario.dets, curve)
+    hyper = default_hyperparameters(scenario.dets, curve, theta_map=theta_map)
     result = RunResult(family, n, run_index, run_seed, flat_curve_flag(curve, truth))
 
     resolution = default_resolution(curve.support[1] - curve.support[0])
@@ -167,7 +168,7 @@ def _execute_run(args) -> RunResult:
     for variant_index, sampler in enumerate(SAMPLERS):
         seed = 2 * run_seed + variant_index + 1
         cfg = ChainConfig(*chain_len, sampler=sampler, seed=seed, hyper=hyper)
-        samples = run_chain(scenario.dets, curve, cfg)
+        samples = run_chain(scenario.dets, curve, cfg, theta_map)
         for kind in LOSS_KINDS:
             losses = [posterior_loss(d, t, kind) for d, t in zip(samples.theta.T, truth)]
             loss = float(np.mean(losses))
@@ -225,6 +226,9 @@ def run_study(
                 tasks.append((family, n, run_index, master_seed ^ run_index, curve, chain_len))
                 run_index += 1
     if jobs > 1:
+        # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             runs = list(pool.map(_execute_run, tasks))
     else:

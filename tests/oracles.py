@@ -247,3 +247,27 @@ def ref_polya_reallocate_one(state, i, hyper, rng) -> int:
     if counts[old] == 0 and choice != old:
         _ref_drop_cluster(state, old)
     return int(state.c[i])
+
+
+def ref_map_estimates(dets, curve, coarse_resolution=5.0):
+    """Reference coarse-grid MAP age per date, one date per loop pass.
+
+    The straightforward per-date loop: the variance terms are rebuilt for
+    every date.  The package's MAP must equal it bit for bit.  A date whose
+    likelihood underflows to zero all over the grid raises ``ValueError``
+    carrying its id; the first such date in input order is the one named.
+    """
+    lo, hi = curve.support
+    n_cells = int(math.floor((hi - lo) / coarse_resolution + 1e-9))
+    theta = lo + coarse_resolution * np.arange(n_cells + 1)
+    m, rho = curve.at(theta)
+    rho2 = rho * rho
+    out = np.empty(len(dets))
+    for k, det in enumerate(dets):
+        var = rho2 + det.sigma * det.sigma
+        loglik = -0.5 * (det.x - m) ** 2 / var - 0.5 * np.log(var)
+        best = int(np.argmax(loglik))
+        if not math.exp(loglik[best]) > 0:
+            raise ValueError(det.id)
+        out[k] = theta[best]
+    return out

@@ -56,6 +56,44 @@ def test_load_ignores_extra_columns(tmp_path):
     assert len(curve) == 2
 
 
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        # a bad token with spaces around it is quoted stripped
+        ("0,100,5\n1.0, abc ,3\n", 3, "unparseable number: could not convert string to float: 'abc'"),
+        ("0,100,5\n abc ,1,2,junk\n", 3, "unparseable number: could not convert string to float: 'abc'"),
+        ("0,100,5\n1,  ,2\n", 3, "unparseable number: could not convert string to float: ''"),
+        ("0,100,5\n\n1, 2\n", 4, "expected at least 3 comma-separated columns, got 2"),
+        ("0,100,5\nfoo\n", 3, "expected at least 3 comma-separated columns, got 1"),
+        # trailing columns are not parsed, but the first three still are checked
+        ("0,100,5,x\n10, 110 ,0 ,junk,,\n", 3, "non-positive curve sd 0"),
+    ],
+)
+def test_load_error_text_and_line(tmp_path, body, line, message):
+    path = tmp_path / "curve.14c"
+    path.write_text("# comment line\n" + body)
+    with pytest.raises(CurveFormatError) as exc:
+        load_curve(path)
+    assert exc.value.line == line
+    assert str(exc.value) == f"{path}:{line}: {message}"
+
+
+def test_load_strips_fields_and_ignores_trailing_columns(tmp_path):
+    path = tmp_path / "curve.14c"
+    path.write_text("0 ,\t100, 5,not a number\n 10,110 ,6 , , ,\n")
+    curve = load_curve(path)
+    assert curve.cal_age.tolist() == [0, 10]
+    assert curve.c14_mean.tolist() == [100, 110]
+    assert curve.c14_sd.tolist() == [5, 6]
+
+
+def test_load_unreadable_file_is_curve_format_error(tmp_path):
+    missing = tmp_path / "missing.14c"
+    with pytest.raises(CurveFormatError, match="No such file") as exc:
+        load_curve(missing)
+    assert str(exc.value).startswith(f"{missing}: cannot read curve file")
+
+
 def test_intcal20_has_9501_knots():
     from conftest import intcal20_path
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import oracles
 from carbcal.calibrate import (
     DensityGrid,
     Determination,
@@ -249,6 +250,55 @@ def test_map_estimates_matches_exhaustive_scan(synth_curve):
         assert e == grid[int(np.argmax(values))]
 
 
+def _mixed_sigma_dets(curve, seed=21):
+    """Dates across the curve with several distinct sigmas, each repeated."""
+    rng = np.random.default_rng(seed)
+    sigmas = rng.choice([20.0, 25.0, 30.0, 40.0, 80.0, 17.5], size=60)
+    truth = rng.uniform(500.0, 40_000.0, size=60)
+    m, _ = curve.at(truth)
+    return [Determination(f"d{k}", float(m[k] + rng.normal(0.0, 50.0)), float(s))
+            for k, s in enumerate(sigmas)]
+
+
+def test_map_estimates_matches_per_date_reference_bitwise(synth_curve):
+    dets = _mixed_sigma_dets(synth_curve)
+    assert len({d.sigma for d in dets}) == 6
+    for resolution in (5.0, 7.5):
+        got = map_estimates(dets, synth_curve, resolution)
+        assert got.tobytes() == oracles.ref_map_estimates(dets, synth_curve, resolution).tobytes()
+
+
+def test_map_estimates_flat_curve_ties_match_reference():
+    curve = make_flat_curve(0, 1000, mean=500.0, sd=5.0)
+    dets = [Determination(f"t{k}", 500.0 + 3.0 * k, s) for k, s in enumerate([25.0, 10.0, 25.0, 60.0])]
+    got = map_estimates(dets, curve, 10.0)
+    assert got.tobytes() == oracles.ref_map_estimates(dets, curve, 10.0).tobytes()
+    assert np.all(got == 0.0)
+
+
+def test_map_estimates_refuses_first_no_mass_date_like_reference(synth_curve):
+    dets = _mixed_sigma_dets(synth_curve)[:10]
+    # the first refused date has a sigma seen only after another refused date's sigma
+    far = [Determination("far_a", 90_000.0, 33.0), Determination("far_b", 95_000.0, dets[0].sigma)]
+    mixed = dets[:2] + [far[0]] + dets[2:5] + [far[1]] + dets[5:]
+    with pytest.raises(ValueError) as ref:
+        oracles.ref_map_estimates(mixed, synth_curve)
+    with pytest.raises(DataError, match="no likelihood mass") as got:
+        map_estimates(mixed, synth_curve)
+    assert ref.value.args[0] == "far_a"
+    assert "'far_a'" in str(got.value) and "far_b" not in str(got.value)
+    kept = [d for d in mixed if not d.id.startswith("far")]
+    assert map_estimates(kept, synth_curve).tobytes() == oracles.ref_map_estimates(kept, synth_curve).tobytes()
+
+
+def test_default_hyperparameters_reuses_given_map_ages(synth_curve):
+    dets = _mixed_sigma_dets(synth_curve)
+    theta_map = map_estimates(dets, synth_curve)
+    assert default_hyperparameters(dets, synth_curve, theta_map=theta_map) == default_hyperparameters(
+        dets, synth_curve
+    )
+
+
 # ---------------------------------------------------------------------------
 # default hyperparameters
 
@@ -465,3 +515,20 @@ def test_calibrate_independent_rejects_date_off_the_curve(synth_curve):
         calibrate_independent(det, synth_curve, 5.0)
     with pytest.raises(DataError, match="'far'"):
         spd([Determination("near", 3000.0, 30.0), det], synth_curve, 5.0)
+
+
+def test_read_determinations_unreadable_file_is_data_error(tmp_path):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(DataError, match="No such file") as exc:
+        read_determinations(missing)
+    assert str(exc.value).startswith(f"{missing}: ")
+    with pytest.raises(DataError, match="Is a directory"):
+        read_determinations(tmp_path)
+
+
+def test_read_determinations_non_utf8_names_file_and_line(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"id,c14_age,c14_sig\na,1000,25\n\nb\xff,2000,30\n")
+    with pytest.raises(DataError) as exc:
+        read_determinations(path)
+    assert str(exc.value) == f"{path}:4: not valid UTF-8 text"

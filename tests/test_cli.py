@@ -1,6 +1,9 @@
 import csv
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -470,3 +473,100 @@ def test_dpmm_repeated_id_is_data_error(tmp_path, synth_curve_file, capsys):
     err = capsys.readouterr().err
     assert "dets.csv" in err and "'a'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["missing_dets", "missing_curve", "non_utf8_dets"])
+def test_unreadable_input_is_data_error_before_output(
+    tmp_path, dets_file, synth_curve_file, capsys, case
+):
+    dets, curve = dets_file, str(synth_curve_file)
+    if case == "missing_dets":
+        dets = str(tmp_path / "missing.csv")
+        named = f"{dets}: cannot read determination file"
+    elif case == "missing_curve":
+        curve = str(tmp_path / "missing.14c")
+        named = f"{curve}: cannot read curve file"
+    else:
+        dets = str(tmp_path / "latin.csv")
+        Path(dets).write_bytes(b"id,c14_age,c14_sig\nsample\xff,3000,30\n")
+        named = f"{dets}:2: not valid UTF-8 text"
+    out = tmp_path / "run"
+    assert main(["calibrate", dets, "--curve", curve, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_out_naming_a_file_is_data_error_before_computation(
+    tmp_path, dets_file_multi, synth_curve_file, capsys, monkeypatch
+):
+    import carbcal.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr(cli, "map_estimates", must_not_run)
+    target = tmp_path / "taken.txt"
+    target.write_text("keep me\n")
+    assert main(dpmm_args(dets_file_multi, synth_curve_file, target) + ["--force"]) == 2
+    err = capsys.readouterr().err
+    assert f"output path {target} exists and is not a directory" in err
+    assert target.read_text() == "keep me\n"
+
+
+def _count_map_calls(monkeypatch) -> list:
+    """Count ``map_estimates`` calls through every module attribute bound to it."""
+    import carbcal.calibrate
+    import carbcal.simstudy  # noqa: F401  (loaded now, so its binding is wrapped too)
+
+    original = carbcal.calibrate.map_estimates
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "carbcal" or name.startswith("carbcal."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_dpmm_makes_one_map_pass_per_run(tmp_path, dets_file_multi, synth_curve_file, monkeypatch):
+    calls = _count_map_calls(monkeypatch)
+    rc = main(dpmm_args(dets_file_multi, synth_curve_file, tmp_path / "run", chains=2))
+    assert rc == 0
+    assert len(calls) == 1
+
+
+def test_simulate_makes_one_map_pass_per_simulation_run(tmp_path, synth_curve_file, monkeypatch):
+    calls = _count_map_calls(monkeypatch)
+    args = ["simulate", "--curve", str(synth_curve_file), "--out", str(tmp_path / "run")]
+    args += ["--family", "three_normal", "--n", "8", "--runs", "3"]
+    args += ["--iters", "10", "--burn", "5", "--thin", "1", "--seed", "4"]
+    assert main(args) == 0
+    assert len(calls) == 3
+
+
+def test_cli_import_leaves_scipy_and_multiprocessing_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import carbcal.cli, sys; "
+        "heavy = ('scipy', 'multiprocessing', 'concurrent.futures'); "
+        "print(sorted(m for m in sys.modules if m in heavy or m.startswith(tuple(h + '.' for h in heavy))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_out_below_a_file_is_data_error(tmp_path, dets_file, synth_curve_file, capsys):
+    (tmp_path / "taken.txt").write_text("keep me\n")
+    out = tmp_path / "taken.txt" / "run"
+    assert main(["calibrate", dets_file, "--curve", str(synth_curve_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot create output directory {out}" in err and "Traceback" not in err
