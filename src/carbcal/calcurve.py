@@ -19,6 +19,10 @@ from carbcal.errors import CurveFormatError, CurveRangeError
 class CalibrationCurve:
     """Gridded posterior mean and sd of a calibration curve.
 
+    Construction checks that every value is finite, the calendar ages
+    strictly increase and every sd is positive; a failure raises
+    :class:`CurveFormatError` carrying the index of the offending knot.
+
     Attributes
     ----------
     cal_age : ndarray
@@ -42,18 +46,19 @@ class CalibrationCurve:
             raise CurveFormatError("curve columns have unequal lengths")
         if len(cal_age) < 2:
             raise CurveFormatError("curve needs at least 2 knots")
-        if not all(np.isfinite(column).all() for column in (cal_age, c14_mean, c14_sd)):
-            raise CurveFormatError("curve contains non-finite values")
-        diffs = np.diff(cal_age)
-        if np.any(diffs <= 0):
-            i = int(np.argmax(diffs <= 0))
-            raise CurveFormatError(
-                f"calendar ages not strictly increasing at knot {i + 1} "
-                f"(cal BP {cal_age[i + 1]:g})"
-            )
-        if np.any(c14_sd <= 0):
-            i = int(np.argmax(c14_sd <= 0))
-            raise CurveFormatError(f"non-positive curve sd at knot {i} (cal BP {cal_age[i]:g})")
+        finite = np.isfinite(cal_age) & np.isfinite(c14_mean) & np.isfinite(c14_sd)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            row = [float(cal_age[i]), float(c14_mean[i]), float(c14_sd[i])]
+            raise CurveFormatError(f"non-finite value in the first three columns {row}", knot=i)
+        dup = np.diff(cal_age) <= 0
+        if np.any(dup):
+            i = int(np.argmax(dup)) + 1
+            raise CurveFormatError(f"duplicate or out-of-order calendar age {cal_age[i]:g}", knot=i)
+        bad_sd = c14_sd <= 0
+        if np.any(bad_sd):
+            i = int(np.argmax(bad_sd))
+            raise CurveFormatError(f"non-positive curve sd {c14_sd[i]:g}", knot=i)
         # The knots interp reads: the mean and sd as one complex array, so
         # one interpolation serves both.  They stay writable because
         # np.interp copies read-only inputs on every call; nothing writes them.
@@ -105,8 +110,9 @@ def load_curve(path) -> CalibrationCurve:
     """Load and validate a calibration curve file.
 
     Returns a curve sorted ascending in calendar age; descending input files
-    (the IntCal convention) are reversed.  Parse and validation failures
-    raise :class:`CurveFormatError` naming the offending line.
+    (the IntCal convention) are reversed.  Parse failures, and the failures
+    of :class:`CalibrationCurve`'s checks, raise :class:`CurveFormatError`
+    naming the offending line.
     """
     rows = []
     lines = []
@@ -144,31 +150,10 @@ def load_curve(path) -> CalibrationCurve:
 
     data = np.asarray(rows, dtype=float)
     linenos = np.asarray(lines)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise CurveFormatError(
-            f"non-finite value in the first three columns {data[i].tolist()}",
-            path=path,
-            line=int(linenos[i]),
-        )
     if data[0, 0] > data[-1, 0]:
         data = data[::-1]
         linenos = linenos[::-1]
-
-    cal_age, c14_mean, c14_sd = data[:, 0], data[:, 1], data[:, 2]
-    dup = np.diff(cal_age) <= 0
-    if np.any(dup):
-        i = int(np.argmax(dup))
-        raise CurveFormatError(
-            f"duplicate or out-of-order calendar age {cal_age[i + 1]:g}",
-            path=path,
-            line=int(linenos[i + 1]),
-        )
-    bad_sd = c14_sd <= 0
-    if np.any(bad_sd):
-        i = int(np.argmax(bad_sd))
-        raise CurveFormatError(
-            f"non-positive curve sd {c14_sd[i]:g}", path=path, line=int(linenos[i])
-        )
-    return CalibrationCurve(cal_age, c14_mean, c14_sd, source=str(path))
+    try:
+        return CalibrationCurve(data[:, 0], data[:, 1], data[:, 2], source=str(path))
+    except CurveFormatError as exc:
+        raise CurveFormatError(exc.message, path=path, line=int(linenos[exc.knot])) from None

@@ -7,10 +7,12 @@ over curve uncertainty, normalised on a uniform grid under a flat age prior.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,7 +52,6 @@ class DensityGrid:
     theta: np.ndarray
     density: np.ndarray
     resolution: float
-    normalized: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
@@ -74,6 +75,7 @@ class Hyperparameters:
     ``nu1``/``nu2`` are the Gamma shape/rate of a cluster precision; ``xi``
     and ``psi`` are the mean and precision of the overall-centre prior; and
     ``eta1``/``eta2`` are the Gamma shape/rate of the concentration prior.
+    Every value must be finite, and the step and cluster counts at least 1.
     """
 
     lam: float
@@ -89,24 +91,38 @@ class Hyperparameters:
     n_init_clusters: int = 10
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise DataError(f"hyperparameter {hyper_key(f.name)} must be finite, got {value}")
         for name in ("lam", "nu1", "nu2", "psi", "eta1", "eta2", "slice_width", "alpha_prop_sd"):
             if not getattr(self, name) > 0:
-                raise DataError(f"hyperparameter {name} must be > 0")
-        if self.n_init_clusters < 1:
-            raise DataError("n_init_clusters must be >= 1")
+                raise DataError(f"hyperparameter {hyper_key(name)} must be > 0")
+        for name in ("slice_max_steps", "n_init_clusters"):
+            if getattr(self, name) < 1:
+                raise DataError(f"hyperparameter {name} must be >= 1")
+
+
+def hyper_key(name: str) -> str:
+    """How users write a :class:`Hyperparameters` field: ``lam`` is ``lambda``."""
+    return "lambda" if name == "lam" else name
 
 
 def read_determinations(path) -> list[Determination]:
     """Read a ``id,c14_age,c14_sig`` CSV file of determinations.
 
     A file that cannot be opened or is not UTF-8 text raises ``DataError``
-    naming it (and, for a decoding failure, the line).
+    naming it (and, for a decoding failure, the line).  A leading UTF-8
+    byte-order mark, as spreadsheet programs write, is skipped.
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise DataError(f"{path}: cannot read determination file: {exc.strerror}") from None
+    # Stripped from the bytes rather than decoded as "utf-8-sig", whose error
+    # offsets would count from after the mark.
+    raw = raw.removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -161,6 +177,13 @@ def write_csv(path, header, rows) -> None:
             writer.writerows(
                 [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
             )
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as JSON indented by two spaces, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def likelihood(det: Determination, curve: CalibrationCurve, theta):
@@ -228,7 +251,7 @@ def hpd_intervals(grid: DensityGrid, level: float) -> list[tuple[float, float, f
     """
     if not 0 < level < 1:
         raise DataError("HPD level must be in (0, 1)")
-    if not grid.normalized or abs(grid.mass - 1.0) > 1e-6:
+    if abs(grid.mass - 1.0) > 1e-6:
         raise DataError("hpd_intervals requires a normalized density grid")
 
     cell_mass = grid.density * grid.resolution
@@ -299,22 +322,13 @@ def map_estimates(dets, curve: CalibrationCurve, coarse_resolution: float = COAR
     return out
 
 
-def _mad(values: np.ndarray, mode: str) -> float:
-    dev = np.abs(values - np.median(values))
-    if mode == "median":
-        return float(np.median(dev))
-    if mode == "maximum":
-        return float(dev.max())
-    raise DataError(f"unknown mad_mode {mode!r}; use 'median' or 'maximum'")
+def median_abs_deviation(values) -> float:
+    """Median absolute deviation of ``values`` from their median."""
+    values = np.asarray(values, dtype=float)
+    return float(np.median(np.abs(values - np.median(values))))
 
 
-def default_hyperparameters(
-    dets,
-    curve: CalibrationCurve,
-    coarse_resolution: float = COARSE_RESOLUTION,
-    mad_mode: str = "median",
-    theta_map=None,
-) -> Hyperparameters:
+def default_hyperparameters(dets, curve: CalibrationCurve, theta_map=None) -> Hyperparameters:
     """Adaptive default hyperparameters from a fast preliminary calibration.
 
     A coarse-grid MAP age per determination drives scale-invariant defaults:
@@ -322,19 +336,19 @@ def default_hyperparameters(
     cluster centres may roam about their overall range, and the concentration
     prior is a standard exponential.  ``theta_map`` passes in MAP ages the
     caller already has (from :func:`map_estimates`); by default they are
-    computed here at ``coarse_resolution``.
+    computed here.
     """
     if len(dets) < 2:
         raise DataError("default_hyperparameters needs at least 2 determinations")
     if theta_map is None:
-        theta_map = map_estimates(dets, curve, coarse_resolution)
+        theta_map = map_estimates(dets, curve)
     spread = theta_map.max() - theta_map.min()
     if spread == 0:
         raise DataError(
             "all preliminary MAP calendar ages are identical; "
             "supply hyperparameters manually"
         )
-    mad = _mad(theta_map, mad_mode)
+    mad = median_abs_deviation(theta_map)
     if mad == 0:
         raise DataError(
             "preliminary MAP calendar ages have zero spread statistic; "

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import re
@@ -34,10 +33,12 @@ from carbcal.calibrate import (
     default_resolution,
     hpd_from_draws,
     hpd_intervals,
+    hyper_key,
     map_estimates,
     read_determinations,
     spd,
     write_csv,
+    write_json,
 )
 from carbcal.dpmm import ChainConfig, check_chain_length, run_chain
 from carbcal.errors import CarbcalError, DataError
@@ -54,11 +55,8 @@ EXIT_INTERNAL = 3
 
 HPD_LEVELS = (0.683, 0.954)
 
-#: ``--hyper`` key -> parser; ``lambda`` names the field ``lam``.
-_HYPER_KEYS = {
-    "lambda" if f.name == "lam" else f.name: int if f.type in (int, "int") else float
-    for f in fields(Hyperparameters)
-}
+#: ``--hyper`` key -> the Hyperparameters field it sets; ``lambda`` sets ``lam``.
+_HYPER_KEYS = {hyper_key(f.name): f for f in fields(Hyperparameters)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,9 +114,7 @@ def _start_run(args, config: dict, seed=None) -> Path:
         "output_dir": str(outdir),
         "version": carbcal.__version__,
     }
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(outdir / "manifest.json", manifest)
     return outdir
 
 
@@ -141,11 +137,25 @@ def _parse_hyper_overrides(pairs) -> dict:
             raise DataError(
                 f"unknown hyperparameter {key!r}; valid keys: {', '.join(sorted(_HYPER_KEYS))}"
             )
+        field = _HYPER_KEYS[key]
         try:
-            overrides["lam" if key == "lambda" else key] = _HYPER_KEYS[key](raw)
+            overrides[field.name] = (int if field.type in (int, "int") else float)(raw)
         except ValueError:
             raise DataError(f"--hyper {key}: cannot parse {raw!r}")
     return overrides
+
+
+def _map_ages(path, dets, curve):
+    """Coarse MAP ages of the dates, read from the determinations file ``path``.
+
+    ``map_estimates`` refuses a date with no likelihood mass on the curve;
+    the error names ``path``.  Every subcommand that reads dates calls this
+    before ``_start_run``, so such a date leaves no output behind.
+    """
+    try:
+        return map_estimates(dets, curve)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _resolve_hyper(path, dets, curve, overrides: dict):
@@ -159,16 +169,13 @@ def _resolve_hyper(path, dets, curve, overrides: dict):
     ``map_estimates`` makes.
     """
     required = {f.name for f in fields(Hyperparameters) if f.default is MISSING}
+    theta_map = _map_ages(path, dets, curve)
     try:
-        theta_map = map_estimates(dets, curve)
-        try:
-            hyper = default_hyperparameters(dets, curve, theta_map=theta_map)
-        except DataError:
-            if not required <= overrides.keys():
-                raise
-            hyper = None
+        hyper = default_hyperparameters(dets, curve, theta_map=theta_map)
     except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        if not required <= overrides.keys():
+            raise DataError(f"{path}: {exc}") from None
+        hyper = None
     hyper = Hyperparameters(**overrides) if hyper is None else replace(hyper, **overrides)
     return hyper, theta_map
 
@@ -217,11 +224,12 @@ def _cmd_calibrate(args, parser) -> int:
                 f"would both write {_safe_id(det.id)}_posterior.csv"
             )
     resolution = _resolution(args, curve)
+    _map_ages(args.determinations, dets, curve)
     outdir = _start_run(args, {"resolution": resolution, "hpd_levels": list(HPD_LEVELS)})
     for stem, det in by_stem.items():
         try:
             grid = calibrate_independent(det, curve, resolution)
-        except DataError as exc:
+        except DataError as exc:  # a backstop: _map_ages refuses such dates first
             raise DataError(f"{args.determinations}: {exc}") from None
         _write_grid(grid, outdir / f"{stem}_posterior.csv")
         for level in HPD_LEVELS:
@@ -234,10 +242,11 @@ def _cmd_spd(args, parser) -> int:
     curve = _require_curve(args, parser)
     dets = read_determinations(args.determinations)
     resolution = _resolution(args, curve)
+    _map_ages(args.determinations, dets, curve)
     outdir = _start_run(args, {"resolution": resolution})
     try:
         grid = spd(dets, curve, resolution)
-    except DataError as exc:
+    except DataError as exc:  # a backstop: _map_ages refuses such dates first
         raise DataError(f"{args.determinations}: {exc}") from None
     _write_grid(grid, outdir / "spd.csv")
     print(f"spd over {len(dets)} determination(s) -> {outdir}")
@@ -314,9 +323,9 @@ def _cmd_simulate(args, parser) -> int:
                 f"invalid family {family!r}; valid families: {', '.join(simstudy.FAMILIES)}"
             )
     try:
-        n_values = [_int_at_least(1)(v) for v in args.n.split(",")]
+        n_values = [_int_at_least(2)(v) for v in args.n.split(",")]
     except (ValueError, argparse.ArgumentTypeError):
-        parser.error(f"argument --n: expected comma-separated integers >= 1, got {args.n!r}")
+        parser.error(f"argument --n: expected comma-separated integers >= 2, got {args.n!r}")
     check_chain_length(args.iters, args.burn, args.thin)
     config = {
         "families": families,
@@ -338,10 +347,7 @@ def _cmd_simulate(args, parser) -> int:
         jobs=args.jobs,
     )
     write_csv(outdir / "results.csv", list(rows[0]), (row.values() for row in rows))
-    payload = {"summary": rows, "runs": [asdict(r) for r in runs]}
-    with open(outdir / "results.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(outdir / "results.json", {"summary": rows, "runs": [asdict(r) for r in runs]})
     print(f"simulation study ({len(runs)} run(s)) -> {outdir}")
     return EXIT_OK
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from carbcal.calcurve import CalibrationCurve
-from carbcal.calibrate import Hyperparameters, map_estimates, write_csv
+from carbcal.calibrate import Hyperparameters, map_estimates, write_csv, write_json
 from carbcal.errors import DataError
 from carbcal.slicesample import SliceConfig, slice_sample_array
 
@@ -153,9 +153,7 @@ class PosteriorSamples:
         cfg = asdict(self.config)
         cfg["det_ids"] = self.det_ids
         cfg["alpha_accept_rate"] = self.alpha_accept_rate
-        with open(directory / "config.json", "w", encoding="utf-8") as fh:
-            json.dump(cfg, fh, indent=2)
-            fh.write("\n")
+        write_json(directory / "config.json", cfg)
 
     @classmethod
     def load(cls, directory) -> "PosteriorSamples":
@@ -212,13 +210,10 @@ def _base_marginal_terms(hyper: Hyperparameters):
     return df, scale2, log_norm, 0.5 * (df + 1.0)
 
 
-def _log_base_marginal(theta, mu_phi: float, hyper: Hyperparameters, log1p=math.log1p):
-    """Log density of theta with the cluster parameters integrated out.
-
-    Pass ``log1p=np.log1p`` to evaluate an array of ages at once.
-    """
+def _log_base_marginal(theta, mu_phi: float, hyper: Hyperparameters):
+    """Log density of theta with the cluster parameters integrated out."""
     df, scale2, log_norm, expo = _base_marginal_terms(hyper)
-    return log_norm - expo * log1p((theta - mu_phi) ** 2 / scale2 / df)
+    return log_norm - expo * np.log1p((theta - mu_phi) ** 2 / scale2 / df)
 
 
 def base_marginal(theta, mu_phi: float, hyper: Hyperparameters):
@@ -227,10 +222,7 @@ def base_marginal(theta, mu_phi: float, hyper: Hyperparameters):
     A scaled Student-t: 2*nu1 degrees of freedom, located at the overall
     centring, scale sqrt(nu2*(lam+1)/(nu1*lam)).
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim == 0:
-        return math.exp(_log_base_marginal(float(theta), mu_phi, hyper))
-    return np.exp(_log_base_marginal(theta, mu_phi, hyper, log1p=np.log1p))
+    return np.exp(_log_base_marginal(np.asarray(theta, dtype=float), mu_phi, hyper))
 
 
 def _draw_cluster_params(counts, sums, sqsums, mu_phi: float, hyper: Hyperparameters, rng):

@@ -8,12 +8,16 @@ class CarbcalError(Exception):
 class CurveFormatError(CarbcalError):
     """A calibration curve file failed to parse or validate.
 
-    Carries the offending file path and 1-based line number when known.
+    Carries the offending file path and 1-based line number when known, or
+    the 0-based index of the offending knot of an ascending curve (which
+    :func:`carbcal.calcurve.load_curve` maps to the file line).
     """
 
-    def __init__(self, message, path=None, line=None):
+    def __init__(self, message, path=None, line=None, knot=None):
+        self.message = message
         self.path = path
         self.line = line
+        self.knot = knot
         prefix = ""
         if path is not None:
             prefix = f"{path}:"

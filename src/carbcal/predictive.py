@@ -4,7 +4,8 @@ Each stored mixture snapshot induces an exact predictive density for the
 age of a future object: a finite normal mixture over its represented
 clusters plus one heavy-tailed component for the possibility of a brand-new
 cluster.  Averaging realisations over the stored chain gives the pointwise
-mean, and pointwise empirical quantiles give the credible band.
+mean, and the pointwise 2.5% and 97.5% empirical quantiles give the 95%
+credible band.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from carbcal.calibrate import Hyperparameters, uniform_grid
+from carbcal.calibrate import Hyperparameters, median_abs_deviation, uniform_grid
 from carbcal.dpmm import ClusterSample, PosteriorSamples, base_marginal
 from carbcal.errors import DataError
 
@@ -29,9 +30,6 @@ class PredictiveDensity:
     mean: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    lower_q: float
-    upper_q: float
-    realisations: np.ndarray | None = None
 
 
 def _mixture_weights(sample: ClusterSample) -> tuple[np.ndarray, float]:
@@ -75,9 +73,6 @@ def predictive_density(
     samples: PosteriorSamples,
     hyper: Hyperparameters,
     grid: np.ndarray,
-    lower_q: float = 0.025,
-    upper_q: float = 0.975,
-    keep_realisations: bool = False,
 ) -> PredictiveDensity:
     """Average the per-sample predictives and take pointwise quantiles.
 
@@ -99,24 +94,18 @@ def predictive_density(
     for k, snap in enumerate(samples.clusters):
         row = predictive_realisation(snap, hyper, grid)
         rows[k] = row / (row.sum() * spacing)
-    mean = rows.mean(axis=0)
-    lo = np.quantile(rows, lower_q, axis=0)
-    hi = np.quantile(rows, upper_q, axis=0)
     return PredictiveDensity(
         theta=grid,
-        mean=mean,
-        lo=lo,
-        hi=hi,
-        lower_q=lower_q,
-        upper_q=upper_q,
-        realisations=rows if keep_realisations else None,
+        mean=rows.mean(axis=0),
+        lo=np.quantile(rows, 0.025, axis=0),
+        hi=np.quantile(rows, 0.975, axis=0),
     )
 
 
 def default_predictive_grid(curve, theta_map, resolution: float) -> np.ndarray:
     """Grid covering the preliminary MAP ages padded by four spread units."""
     theta_map = np.asarray(theta_map, dtype=float)
-    mad = float(np.median(np.abs(theta_map - np.median(theta_map))))
+    mad = median_abs_deviation(theta_map)
     pad = 4.0 * mad if mad > 0 else 4.0 * resolution
     lo_s, hi_s = curve.support
     lo = max(theta_map.min() - pad, lo_s)

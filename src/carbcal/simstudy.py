@@ -114,8 +114,8 @@ def improvement(loss_np: float, loss_indep: float) -> float:
     return 100.0 * (1.0 - loss_np / loss_indep)
 
 
-def flat_curve_flag(curve: CalibrationCurve, true_theta, sigma_obs: float = SIGMA_OBS) -> bool:
-    """True when the curve mean barely moves over the truth's span.
+def flat_curve_flag(curve: CalibrationCurve, true_theta) -> bool:
+    """True when the curve mean moves less than two lab sds over the truth's span.
 
     Identifiability is then poor for every calibration method; joint
     calibration is particularly penalised.
@@ -126,7 +126,7 @@ def flat_curve_flag(curve: CalibrationCurve, true_theta, sigma_obs: float = SIGM
     inside = (knots >= lo) & (knots <= hi)
     span_ages = np.concatenate([[lo], knots[inside], [hi]])
     m, _ = curve.at(span_ages)
-    return float(np.std(m)) < 2.0 * sigma_obs
+    return float(np.std(m)) < 2.0 * SIGMA_OBS
 
 
 @dataclass

@@ -21,15 +21,9 @@ from carbcal.calibrate import Determination, write_csv
 DEMO_PHASES = ((0.1, 3500.0, 200.0), (0.4, 4200.0, 100.0), (0.5, 5000.0, 300.0))
 
 
-def wiggly_curve(
-    span: tuple[float, float] = (0.0, 55_000.0),
-    resolution: float = 5.0,
-    seed: int = 20_14,
-) -> CalibrationCurve:
-    """Deterministic synthetic curve with realistic wiggles and plateaus."""
-    lo, hi = span
-    n_cells = int(round((hi - lo) / resolution))
-    cal_age = lo + resolution * np.arange(n_cells + 1)
+def wiggly_curve() -> CalibrationCurve:
+    """Deterministic synthetic curve over 0-55 kyr BP, knots every 5 cal yr."""
+    cal_age = 5.0 * np.arange(11_001)
 
     # Wiggle amplitudes chosen so the slope inverts on century scales, as the
     # real atmospheric record does.  A 25-yr-precision date then calibrates
@@ -42,14 +36,14 @@ def wiggly_curve(
     mean = mean + 110.0 * np.sin(2.0 * math.pi * cal_age / 8100.0 + 0.5)
 
     # Smoothed random walk for irregular, non-periodic structure.
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2014)
     walk = np.cumsum(rng.normal(0.0, 1.0, size=len(cal_age)))
     kernel = np.ones(41) / 41.0
     walk = np.convolve(walk, kernel, mode="same")
     mean = mean + 5.0 * (walk - walk.mean())
 
     sd = 5.0 + 15.0 * cal_age / 55_000.0 + 1.5 * np.sin(2.0 * math.pi * cal_age / 3000.0)
-    return CalibrationCurve(cal_age, mean, sd, source=f"<synthetic:{seed}>")
+    return CalibrationCurve(cal_age, mean, sd, source="<synthetic:2014>")
 
 
 def write_curve_file(curve: CalibrationCurve, path) -> None:
@@ -76,23 +70,15 @@ def sample_determinations(
     ]
 
 
-def three_phase_determinations(
-    curve: CalibrationCurve,
-    n: int = 100,
-    sigma_obs: float = 25.0,
-    seed: int = 3,
-    phases=DEMO_PHASES,
-):
-    """Demo set: ages from a fixed three-normal mixture, then observed.
+def three_phase_determinations(curve: CalibrationCurve, n: int = 100, seed: int = 3):
+    """Demo set: ages from the ``DEMO_PHASES`` mixture, observed with 25 14C yr error.
 
     Returns (determinations, true_theta).  Draws falling outside the curve
     support are redrawn individually (the mixture tails are negligible at
-    the support edges for the default phases).
+    the support edges).
     """
     rng = np.random.default_rng(seed)
-    weights = np.array([p[0] for p in phases])
-    means = np.array([p[1] for p in phases])
-    sds = np.array([p[2] for p in phases])
+    weights, means, sds = np.array(DEMO_PHASES).T
     lo, hi = curve.support
     true_theta = np.empty(n)
     for k in range(n):
@@ -102,15 +88,15 @@ def three_phase_determinations(
             if lo <= t <= hi:
                 true_theta[k] = t
                 break
-    dets = sample_determinations(true_theta, curve, sigma_obs, rng)
+    dets = sample_determinations(true_theta, curve, 25.0, rng)
     return dets, true_theta
 
 
-def true_three_phase_density(theta, phases=DEMO_PHASES):
+def true_three_phase_density(theta):
     """Density of the demo mixture, for comparing reconstructions."""
     theta = np.asarray(theta, dtype=float)
     out = np.zeros_like(theta)
-    for weight, mean, sd in phases:
+    for weight, mean, sd in DEMO_PHASES:
         z = (theta - mean) / sd
         out += weight * np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
     return out

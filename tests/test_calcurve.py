@@ -179,6 +179,44 @@ def test_validation_rejects_bad_construction():
         CalibrationCurve([0, 1, 2], [1, 2], [1, 1])
 
 
+@pytest.mark.parametrize(
+    "ages, sds, knot, message",
+    [
+        ([0, 10, 20], [5, 0.0, 6], 1, "non-positive curve sd 0"),
+        ([0, 10, 5], [5, 5, 6], 2, "duplicate or out-of-order calendar age 5"),
+        ([0, 10, 10], [5, 5, 6], 2, "duplicate or out-of-order calendar age 10"),
+    ],
+)
+def test_direct_construction_error_matches_load_curve(tmp_path, ages, sds, knot, message):
+    means = [100, 110, 130]
+    with pytest.raises(CurveFormatError) as built:
+        CalibrationCurve(ages, means, sds)
+    assert built.value.knot == knot
+    assert str(built.value) == message
+    path = write_curve(tmp_path, list(zip(ages, means, sds)))
+    with pytest.raises(CurveFormatError) as loaded:
+        load_curve(path)
+    assert str(loaded.value) == f"{path}:{knot + 2}: {message}"
+
+
+@pytest.mark.parametrize(
+    "bad_row, line, message",
+    [
+        ((30, 140, -1), 3, "non-positive curve sd -1"),
+        ((10, 140, 6), 3, "duplicate or out-of-order calendar age 10"),
+        ((30, "nan", 6), 3, "non-finite value in the first three columns [30.0, nan, 6.0]"),
+    ],
+)
+def test_descending_file_names_the_bad_row_line(tmp_path, bad_row, line, message):
+    # IntCal order: the rows are reversed before the checks, the lines are not.
+    rows = [(40, 150, 7), bad_row, (20, 130, 6), (0, 100, 5)]
+    path = write_curve(tmp_path, rows)
+    with pytest.raises(CurveFormatError) as exc:
+        load_curve(path)
+    assert exc.value.line == line
+    assert str(exc.value) == f"{path}:{line}: {message}"
+
+
 def test_curve_arrays_are_immutable(synth_curve):
     with pytest.raises(ValueError):
         synth_curve.cal_age[0] = -1.0

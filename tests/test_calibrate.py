@@ -1,3 +1,4 @@
+import codecs
 import csv
 import math
 
@@ -119,7 +120,7 @@ def test_hpd_respects_level_within_one_cell():
 
 
 def test_hpd_requires_normalized_grid():
-    grid = DensityGrid(np.arange(10.0), np.ones(10), 1.0, normalized=False)
+    grid = DensityGrid(np.arange(10.0), np.ones(10), 1.0)
     with pytest.raises(DataError):
         hpd_intervals(grid, 0.5)
 
@@ -328,17 +329,6 @@ def test_default_hyperparameters_formulas():
     assert hyper.slice_width == pytest.approx(max(0.5 * (q75 - q25), 50.0))
 
 
-def test_default_hyperparameters_mad_modes():
-    ages = [1000.0, 2000.0, 3000.0, 4000.0, 8000.0]
-    dets, curve = dets_with_map_ages(ages)
-    theta = np.array(ages)
-    hyper_max = default_hyperparameters(dets, curve, mad_mode="maximum")
-    dev_max = np.max(np.abs(theta - np.median(theta)))
-    assert hyper_max.nu2 == pytest.approx(dev_max**2 * 0.25 / 100.0)
-    with pytest.raises(DataError):
-        default_hyperparameters(dets, curve, mad_mode="bogus")
-
-
 def test_default_hyperparameters_identical_ages_rejected():
     dets, curve = dets_with_map_ages([5000.0, 5000.0, 5000.0])
     with pytest.raises(DataError, match="manually"):
@@ -532,3 +522,18 @@ def test_read_determinations_non_utf8_names_file_and_line(tmp_path):
     with pytest.raises(DataError) as exc:
         read_determinations(path)
     assert str(exc.value) == f"{path}:4: not valid UTF-8 text"
+
+
+def test_read_determinations_skips_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(codecs.BOM_UTF8 + b"id,c14_age,c14_sig\na,1000,25\nb,2000,30\n")
+    dets = read_determinations(path)
+    assert [(d.id, d.x, d.sigma) for d in dets] == [("a", 1000.0, 25.0), ("b", 2000.0, 30.0)]
+
+
+def test_read_determinations_bom_keeps_line_of_bad_byte(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(codecs.BOM_UTF8 + b"id,c14_age,c14_sig\na,1000,25\nb\xff,2000,30\n")
+    with pytest.raises(DataError) as exc:
+        read_determinations(path)
+    assert str(exc.value) == f"{path}:3: not valid UTF-8 text"

@@ -374,7 +374,7 @@ def test_date_off_the_curve_is_data_error(tmp_path, synth_curve_file, capsys, su
     assert rc == 2
     err = capsys.readouterr().err
     assert "dets.csv" in err and "'far'" in err
-    assert not (out / "far_posterior.csv").exists() and not (out / "spd.csv").exists()
+    assert not out.exists()
 
 
 def test_nonpositive_resolution_fails_before_manifest(tmp_path, dets_file_multi, synth_curve_file):
@@ -429,7 +429,22 @@ def test_dpmm_date_off_the_curve_is_data_error(tmp_path, synth_curve_file, capsy
 
 
 @pytest.mark.parametrize(
-    "extra", [["--n", "5,"], ["--n", "0"], ["--n", "5,-1"], ["--jobs", "0"], ["--jobs", "-3"]]
+    "override", ["slice_max_steps=0", "xi=nan", "lambda=inf", "nu1=inf", "slice_width=inf"]
+)
+def test_dpmm_bad_hyper_value_is_data_error_before_output(
+    tmp_path, dets_file_multi, synth_curve_file, capsys, override
+):
+    # An infinite slice_width would keep the slice shrinkage loop from ever ending.
+    out = tmp_path / "run"
+    rc = main(dpmm_args(dets_file_multi, synth_curve_file, out) + ["--hyper", override])
+    assert rc == 2
+    assert f"hyperparameter {override.partition('=')[0]} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--n", "5,"], ["--n", "0"], ["--n", "5,-1"], ["--jobs", "0"], ["--jobs", "-3"], ["--n", "1"]],
 )
 def test_simulate_bad_integer_option_is_usage_error(tmp_path, synth_curve_file, extra):
     out = tmp_path / "sim"

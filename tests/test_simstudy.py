@@ -111,12 +111,12 @@ def test_grid_loss_vs_monte_carlo(synth_curve):
 
 def test_flat_curve_flag():
     flat = make_flat_curve(0, 1000, mean=2000.0, sd=10.0)
-    assert flat_curve_flag(flat, np.array([200.0, 400.0, 600.0]), sigma_obs=25.0)
+    assert flat_curve_flag(flat, np.array([200.0, 400.0, 600.0]))
 
 
 def test_flat_curve_flag_negative(synth_curve):
     truth = np.linspace(3000, 4000, 20)
-    assert not flat_curve_flag(synth_curve, truth, sigma_obs=25.0)
+    assert not flat_curve_flag(synth_curve, truth)
 
 
 def test_run_study_smoke_and_parallel_determinism(synth_curve):
