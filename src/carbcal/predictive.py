@@ -89,6 +89,8 @@ def predictive_density(
             stacklevel=2,
         )
     grid = np.asarray(grid, dtype=float)
+    if len(grid) < 2:
+        raise DataError(f"a predictive grid needs at least 2 points, got {len(grid)}")
     spacing = float(grid[1] - grid[0])
     rows = np.empty((samples.n_stored, len(grid)))
     for k, snap in enumerate(samples.clusters):

@@ -12,6 +12,7 @@ import oracles
 from carbcal.calibrate import (
     DensityGrid,
     Determination,
+    GridWriter,
     Hyperparameters,
     calibrate_independent,
     default_hyperparameters,
@@ -21,6 +22,7 @@ from carbcal.calibrate import (
     prior_cluster_sd_quantile,
     read_determinations,
     spd,
+    uniform_grid,
     write_csv,
 )
 from carbcal.errors import DataError
@@ -497,6 +499,55 @@ def test_write_csv_array_blocks_match_rows(tmp_path):
     write_csv(tmp_path / "array.csv", header, values)
     write_csv(tmp_path / "rows.csv", header, values.tolist())
     assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+_grid_densities = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1.0]),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        # 17 significant digits, as a renormalised posterior has
+        st.floats(min_value=1e-6, max_value=1e-2, exclude_min=True),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        _grid_densities,
+        st.integers(1, 40).map(lambda n: [0.0] * n),
+        st.integers(1, 40).map(lambda n: [-0.0] * n),
+    ),
+    st.sampled_from([0.1, 1.0, 2.5, 7.0]),
+    st.floats(min_value=-100.0, max_value=50_000.0),
+)
+def test_grid_writer_bytes_match_write_csv(tmp_path_factory, density, resolution, start):
+    out = tmp_path_factory.mktemp("grid")
+    theta = start + resolution * np.arange(len(density))
+    grid = DensityGrid(theta, np.array(density), resolution)
+    GridWriter(theta).write(out / "rows.csv", grid)
+    write_csv(out / "ref.csv", ["cal_age", "density"], np.column_stack((theta, grid.density)))
+    assert (out / "rows.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+def test_grid_writers_of_two_spacings_in_one_process(tmp_path, synth_curve):
+    dets = [Determination("a", 3000.0, 30.0), Determination("b", 4000.0, 50.0)]
+    writers = {r: GridWriter(uniform_grid(*synth_curve.support, r)) for r in (2.5, 1.0)}
+    for r, writer in writers.items():
+        for det in dets:
+            grid = calibrate_independent(det, synth_curve, r)
+            writer.write(tmp_path / "rows.csv", grid)
+            columns = np.column_stack((grid.theta, grid.density))
+            write_csv(tmp_path / "ref.csv", ["cal_age", "density"], columns)
+            assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # a grid of the other spacing is refused, not written with the wrong ages
+    with pytest.raises(ValueError, match="ages"):
+        writers[1.0].write(tmp_path / "wrong.csv", calibrate_independent(dets[0], synth_curve, 2.5))
+    with pytest.raises(ValueError, match="ages"):
+        writers[2.5].write(tmp_path / "wrong.csv", calibrate_independent(dets[0], synth_curve, 1.0))
+    assert not (tmp_path / "wrong.csv").exists()
 
 
 def test_calibrate_independent_rejects_date_off_the_curve(synth_curve):

@@ -9,7 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from carbcal.calcurve import load_curve
+from carbcal.calibrate import calibrate_independent, read_determinations, spd, write_csv
 from carbcal.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SITE = str(REPO_ROOT / "data" / "example_three_phase.csv")
+SITE_CURVE = str(REPO_ROOT / "data" / "synthetic_curve.14c")
 
 
 def write_dets(path, rows):
@@ -585,3 +591,65 @@ def test_out_below_a_file_is_data_error(tmp_path, dets_file, synth_curve_file, c
     assert main(["calibrate", dets_file, "--curve", str(synth_curve_file), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"cannot create output directory {out}" in err and "Traceback" not in err
+
+
+def write_csv_bytes(tmp_path, grid):
+    """The bytes ``write_csv`` writes for a calibrated grid: the reference."""
+    ref = tmp_path / "ref.csv"
+    write_csv(ref, ["cal_age", "density"], np.column_stack((grid.theta, grid.density)))
+    return ref.read_bytes()
+
+
+def test_calibrate_grids_at_two_resolutions_in_one_process_match_write_csv(
+    tmp_path, dets_file_multi, synth_curve, synth_curve_file
+):
+    runs = {"2.5": 2.5, None: 5.0}  # the default spacing of a 0-55 kyr curve is 5 yr
+    for option, resolution in runs.items():
+        out = tmp_path / f"run_{resolution}"
+        args = ["calibrate", dets_file_multi, "--curve", str(synth_curve_file), "--out", str(out)]
+        assert main(args + (["--resolution", option] if option else [])) == 0
+        for det in read_determinations(dets_file_multi):
+            grid = calibrate_independent(det, synth_curve, resolution)
+            assert (out / f"{det.id}_posterior.csv").read_bytes() == write_csv_bytes(tmp_path, grid)
+
+
+def test_spd_file_matches_write_csv(tmp_path, dets_file_multi, synth_curve, synth_curve_file):
+    out = tmp_path / "run"
+    args = ["spd", dets_file_multi, "--curve", str(synth_curve_file), "--out", str(out)]
+    assert main(args + ["--resolution", "2.5"]) == 0
+    grid = spd(read_determinations(dets_file_multi), synth_curve, 2.5)
+    assert (out / "spd.csv").read_bytes() == write_csv_bytes(tmp_path, grid)
+
+
+def test_dpmm_resolution_wider_than_predictive_window_fails_before_output(tmp_path, capsys):
+    # used to run the whole chain, then fail with an IndexError (exit 3) in predictive_density
+    out = tmp_path / "run"
+    args = ["dpmm", SITE, "--curve", SITE_CURVE, "--out", str(out), "--iters", "20"]
+    assert main(args + ["--resolution", "100000"]) == 2
+    err = capsys.readouterr().err
+    assert "--resolution 100000" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, resolution", [("calibrate", "100000"), ("spd", "30000")])
+def test_resolution_coarser_than_the_dates_fails_before_output(
+    tmp_path, capsys, subcommand, resolution
+):
+    # the 5 yr MAP pre-check used to pass, leaving manifest.json behind when the
+    # coarse output grid then missed every date
+    out = tmp_path / "run"
+    args = [subcommand, SITE, "--curve", SITE_CURVE, "--out", str(out)]
+    assert main(args + ["--resolution", resolution]) == 2
+    err = capsys.readouterr().err
+    assert "'obs0'" in err and "no likelihood mass" in err and f"{resolution} cal yr grid" in err
+    assert not out.exists()
+
+
+def test_calibrate_bundled_dates_at_coarse_resolution(tmp_path):
+    out = tmp_path / "run"
+    args = ["calibrate", SITE, "--curve", SITE_CURVE, "--out", str(out)]
+    assert main(args + ["--resolution", "10"]) == 0
+    dets = read_determinations(SITE)
+    assert len(list(out.glob("*_posterior.csv"))) == len(dets) == 100
+    grid = calibrate_independent(dets[-1], load_curve(SITE_CURVE), 10.0)
+    assert (out / f"{dets[-1].id}_posterior.csv").read_bytes() == write_csv_bytes(tmp_path, grid)

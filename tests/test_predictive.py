@@ -150,6 +150,13 @@ def test_predictive_requires_samples():
         predictive_density(FakeSamples([]), hyper(), np.linspace(0, 1000, 11))
 
 
+@pytest.mark.parametrize("grid", [[500.0], []])
+def test_predictive_refuses_grid_of_fewer_than_two_points(grid):
+    sample = polya_sample([10], [500.0], [1e-3], alpha=0.5)
+    with pytest.raises(DataError, match="at least 2 points"):
+        predictive_density(FakeSamples([sample] * 100), hyper(), np.array(grid))
+
+
 def test_cluster_count_posterior_point_mass():
     sample = polya_sample([5, 5, 5], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0], alpha=1.0)
     hist = cluster_count_posterior(FakeSamples([sample] * 40))
