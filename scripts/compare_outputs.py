@@ -1,0 +1,109 @@
+"""Check that two source trees of carbcal write byte-identical outputs.
+
+    python3 scripts/compare_outputs.py TREE_A TREE_B [--work DIR]
+
+Runs one fixed-seed command set with each tree's ``src/`` on its own
+``PYTHONPATH``, the data files taken from that tree's ``data/``:
+``calibrate`` and ``spd`` on the bundled dates, ``dpmm`` with each sampler
+and with one and three chains, and ``simulate`` on one and on two worker
+processes.  Every output file except ``manifest.json`` (which records its
+output directory and input paths) must be byte-identical between the trees.
+Prints each difference and exits 1 if there is any, 0 otherwise.  Standard
+library only, so it runs against any checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SITE = "data/example_three_phase.csv"
+CURVE = "data/synthetic_curve.14c"
+
+#: (name, arguments): the ``--out`` directory is added per tree.
+COMMANDS = [
+    ("calibrate", ["calibrate", SITE, "--curve", CURVE]),
+    ("spd", ["spd", SITE, "--curve", CURVE]),
+    *[
+        (
+            f"dpmm-{sampler}-chains{chains}",
+            ["dpmm", SITE, "--curve", CURVE, "--sampler", sampler, "--chains", str(chains),
+             "--iters", "200", "--burn", "100", "--thin", "2", "--seed", "17"],
+        )
+        for sampler in ("walker", "polya")
+        for chains in (1, 3)
+    ],
+    *[
+        (
+            f"simulate-jobs{jobs}",
+            ["simulate", "--curve", CURVE, "--family", "three_normal,uniform", "--n", "12,30",
+             "--runs", "2", "--iters", "120", "--burn", "60", "--thin", "2", "--seed", "5",
+             "--jobs", str(jobs)],
+        )
+        for jobs in (1, 2)
+    ],
+]
+
+IGNORED = {"manifest.json"}
+
+
+def run_tree(tree: Path, out_root: Path) -> list[str]:
+    """Run every command with ``tree``'s sources; returns the failures."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    failures = []
+    for name, args in COMMANDS:
+        argv = [sys.executable, "-m", "carbcal.cli", *args, "--out", str(out_root / name)]
+        done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            failures.append(f"{tree}: {name} exited {done.returncode}: {done.stderr.strip()}")
+    return failures
+
+
+def files_under(root: Path) -> dict[str, Path]:
+    return {
+        str(path.relative_to(root)): path
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name not in IGNORED
+    }
+
+
+def compare(out_a: Path, out_b: Path) -> list[str]:
+    """Differences between two output trees, one line each."""
+    files_a, files_b = files_under(out_a), files_under(out_b)
+    problems = [f"only in A: {rel}" for rel in sorted(files_a.keys() - files_b.keys())]
+    problems += [f"only in B: {rel}" for rel in sorted(files_b.keys() - files_a.keys())]
+    for rel in sorted(files_a.keys() & files_b.keys()):
+        if files_a[rel].read_bytes() != files_b[rel].read_bytes():
+            problems.append(f"differs: {rel}")
+    return problems
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("--work", type=Path, help="directory for the outputs (default: a temporary one)")
+    args = parser.parse_args(argv)
+    work = args.work or Path(tempfile.mkdtemp(prefix="carbcal-compare-"))
+    out_a, out_b = work / "a", work / "b"
+    for out in (out_a, out_b):
+        if out.exists() and any(out.iterdir()):
+            parser.error(f"{out} is not empty")
+    problems = run_tree(args.tree_a.resolve(), out_a) + run_tree(args.tree_b.resolve(), out_b)
+    problems += compare(out_a, out_b)
+    for line in problems:
+        print(line)
+    n_files = len(files_under(out_a))
+    if problems:
+        print(f"{len(problems)} difference(s); outputs kept in {work}")
+        return 1
+    print(f"{len(COMMANDS)} commands, {n_files} output files: byte-identical (outputs in {work})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

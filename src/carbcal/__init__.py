@@ -15,7 +15,14 @@ from carbcal.calibrate import (
     read_determinations,
     spd,
 )
-from carbcal.dpmm import ChainConfig, DpmmState, PosteriorSamples, expected_clusters, run_chain
+from carbcal.dpmm import (
+    ChainConfig,
+    DpmmState,
+    PosteriorSamples,
+    expected_clusters,
+    run_chain,
+    run_chains,
+)
 from carbcal.predictive import PredictiveDensity, cluster_count_posterior, predictive_density
 from carbcal.slicesample import SliceConfig, slice_sample
 
@@ -40,6 +47,7 @@ __all__ = [
     "predictive_density",
     "read_determinations",
     "run_chain",
+    "run_chains",
     "slice_sample",
     "spd",
 ]

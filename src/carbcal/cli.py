@@ -44,7 +44,7 @@ from carbcal.calibrate import (
     write_csv,
     write_json,
 )
-from carbcal.dpmm import ChainConfig, check_chain_length, run_chain
+from carbcal.dpmm import ChainConfig, check_chain_length, run_chain, run_chains
 from carbcal.errors import CarbcalError, DataError
 from carbcal.predictive import (
     cluster_count_posterior,
@@ -97,6 +97,14 @@ def _check_outdir(outdir: Path, force: bool) -> None:
         raise DataError(f"output directory {outdir} exists and is not empty; use --force")
 
 
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def _start_run(args, config: dict, seed=None) -> Path:
     """Create the output directory and write the manifest that reproduces the run."""
     if args.out is not None:
@@ -109,14 +117,17 @@ def _start_run(args, config: dict, seed=None) -> Path:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot create output directory {outdir}: {exc.strerror}") from None
+    inputs = [str(args.determinations)] if "determinations" in args else []
     manifest = {
         "subcommand": args.subcommand,
-        "inputs": [str(args.determinations)] if "determinations" in args else [],
+        "inputs": inputs,
         "curve": str(args.curve),
+        "sha256": {path: _sha256(path) for path in [*inputs, str(args.curve)]},
         "config": config,
         "seed": seed,
         "output_dir": str(outdir),
         "version": carbcal.__version__,
+        "numpy_version": np.__version__,
     }
     write_json(outdir / "manifest.json", manifest)
     return outdir
@@ -300,9 +311,13 @@ def _cmd_dpmm(args, parser) -> int:
     config = asdict(cfg)
     config.update(resolution=resolution, chains=args.chains)
     outdir = _start_run(args, config, seed=args.seed)
-    for k in range(args.chains):
+    if args.chains == 1:  # run_chain: the one-chain case of run_chains
+        chains = [run_chain(dets, curve, cfg, theta_map)]
+    else:
+        jobs = [(dets, replace(cfg, seed=cfg.seed + k), theta_map) for k in range(args.chains)]
+        chains = run_chains(jobs, curve)
+    for k, samples in enumerate(chains):
         suffix = "" if args.chains == 1 else f"_chain{k}"
-        samples = run_chain(dets, curve, replace(cfg, seed=cfg.seed + k), theta_map)
         samples.save(outdir / f"samples{suffix}")
         pred = predictive_density(samples, hyper, grid)
         write_csv(

@@ -13,6 +13,12 @@ Marginal-weights ("polya") reallocation is sequential over dates: each
 label is drawn given all the others.  One ``polya_reallocate`` call makes
 that pass over every date, keeping the counts and per-cluster log terms up
 to date as labels move instead of rebuilding them for each date.
+
+``run_chains`` advances independent chains in lockstep: one age update per
+sweep slice-samples the dates of every chain of a batch, each chain's dates
+drawing from that chain's own generator, and every other step runs per
+chain.  A chain's draws are therefore the same in any batch, and
+``run_chain`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -191,10 +197,16 @@ class PosteriorSamples:
 # normal-gamma base measure
 
 
+# The draws below write ``rng.gamma(a, s)`` as ``s * rng.standard_gamma(a)``
+# and ``rng.normal(m, s)`` as ``m + s * rng.standard_normal(shape)``: the same
+# bits and the same stream position, without the per-call argument checks
+# of ``gamma`` and ``normal`` (a test pins the equivalence).
+
+
 def _draw_normal_gamma(mu0, lam, nu1, nu2, rng):
     """Draw (phi, tau) with tau ~ Gamma(nu1, rate nu2), phi|tau normal."""
-    tau = rng.gamma(nu1, 1.0 / nu2)
-    phi = rng.normal(mu0, 1.0 / np.sqrt(lam * tau))
+    tau = (1.0 / nu2) * rng.standard_gamma(nu1)
+    phi = mu0 + (1.0 / np.sqrt(lam * tau)) * rng.standard_normal()
     return phi, tau
 
 
@@ -233,8 +245,8 @@ def _draw_cluster_params(counts, sums, sqsums, mu_phi: float, hyper: Hyperparame
     mu_n = (hyper.lam * mu_phi + sums) / lam_n
     nu1_n = hyper.nu1 + 0.5 * counts
     nu2_n = hyper.nu2 + 0.5 * ss + hyper.lam * counts * (mean - mu_phi) ** 2 / (2.0 * lam_n)
-    tau = rng.gamma(nu1_n, 1.0 / nu2_n)
-    phi = rng.normal(mu_n, 1.0 / np.sqrt(lam_n * tau))
+    tau = (1.0 / nu2_n) * rng.standard_gamma(nu1_n)
+    phi = mu_n + (1.0 / np.sqrt(lam_n * tau)) * rng.standard_normal(np.shape(tau) or None)
     return phi, tau
 
 
@@ -287,23 +299,42 @@ def init_state(
 
 
 def update_theta(
-    state: DpmmState,
+    state,
     x: np.ndarray,
     var_obs: np.ndarray,
     curve: CalibrationCurve,
     hyper: Hyperparameters,
     rng,
     slice_cfg: SliceConfig | None = None,
-) -> np.ndarray:
+):
     """Slice-sample every calendar age from its conditional, all at once.
 
     Given the cluster parameters the ages are independent, each with log
     density: curve likelihood of its measurement ``x`` (variance ``var_obs``
     plus the curve variance) times its cluster's normal prior, additive
     constants dropped.  Returns ``state.theta``, updated in place.
+
+    ``state`` may also be a list of chain states advanced together, with
+    ``rng`` a list of their generators, one per state, and ``x``,
+    ``var_obs`` (and any per-coordinate widths or step caps of
+    ``slice_cfg``) running over the states' dates in order.  Each state's
+    generator serves its own dates only, so each chain draws what it would
+    alone.  The states are updated in place.
     """
-    phi = state.phi[state.c]
-    half_tau = 0.5 * state.tau[state.c]
+    if slice_cfg is None:
+        slice_cfg = SliceConfig(
+            width=hyper.slice_width, max_steps=hyper.slice_max_steps, bounds=curve.support
+        )
+    if isinstance(state, DpmmState):
+        states, blocks = [state], None
+        theta = state.theta
+        phi = state.phi[state.c]
+        half_tau = 0.5 * state.tau[state.c]
+    else:
+        states, blocks = state, [len(s.theta) for s in state]
+        theta = np.concatenate([s.theta for s in states])
+        phi = np.concatenate([s.phi[s.c] for s in states])
+        half_tau = 0.5 * np.concatenate([s.tau[s.c] for s in states])
     interp = curve.interp
 
     def log_post(theta, index):
@@ -314,12 +345,15 @@ def update_theta(
         dev = theta - phi[index]
         return -0.5 * (resid * resid / var + np.log(var)) - half_tau[index] * dev * dev
 
-    if slice_cfg is None:
-        slice_cfg = SliceConfig(
-            width=hyper.slice_width, max_steps=hyper.slice_max_steps, bounds=curve.support
-        )
-    state.theta[:] = slice_sample_array(log_post, state.theta, slice_cfg, rng)
-    return state.theta
+    new = slice_sample_array(log_post, theta, slice_cfg, rng, blocks)
+    if blocks is None:
+        state.theta[:] = new
+        return state.theta
+    start = 0
+    for s, size in zip(states, blocks):
+        s.theta[:] = new[start : start + size]
+        start += size
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +576,9 @@ def _update_alpha_mh(state: DpmmState, hyper: Hyperparameters, rng, log_likeliho
     """Shared MH kernel: positive-truncated normal proposal plus cdf correction."""
     alpha = state.alpha
     sd = hyper.alpha_prop_sd
-    prop = rng.normal(alpha, sd)
+    prop = alpha + sd * rng.standard_normal()
     while prop <= 0.0:
-        prop = rng.normal(alpha, sd)
+        prop = alpha + sd * rng.standard_normal()
 
     def log_prior(a):
         return (hyper.eta1 - 1.0) * math.log(a) - hyper.eta2 * a
@@ -587,7 +621,7 @@ def update_mu_phi(state: DpmmState, hyper: Hyperparameters, rng) -> float:
     s_tau_phi = hyper.lam * float((state.tau * state.phi).sum())
     prec = hyper.psi + s_tau
     mean = (hyper.xi * hyper.psi + s_tau_phi) / prec
-    state.mu_phi = float(rng.normal(mean, prec**-0.5))
+    state.mu_phi = float(mean + prec**-0.5 * rng.standard_normal())
     return state.mu_phi
 
 
@@ -616,6 +650,131 @@ def _store_snapshot(state: DpmmState, sampler: str) -> ClusterSample:
     )
 
 
+#: Most dates ``run_chains`` advances in one lockstep batch.  A slice pass
+#: over fewer dates costs mostly fixed numpy call overhead, so batching small
+#: chains saves most of it; past about this size a pass is bound by its
+#: per-date work and batching gains nothing.  The cap also bounds how many
+#: chains' stored samples are held at once.
+BATCH_DATES = 1000
+
+
+class _Chain:
+    """One chain of a batch: its inputs, generator, state and stored samples."""
+
+    def __init__(self, dets, curve: CalibrationCurve, cfg: ChainConfig, theta_map):
+        self.dets = dets
+        self.cfg = cfg
+        self.rng = np.random.default_rng(cfg.seed)
+        self.x = np.array([d.x for d in dets])
+        self.var_obs = np.array([d.sigma * d.sigma for d in dets])
+        self.state = init_state(dets, curve, cfg.hyper, self.rng, cfg.sampler, theta_map)
+        self.stored_theta = np.empty((cfg.n_stored, len(dets)))
+        self.snapshots: list[ClusterSample] = []
+        self.alpha_accepts = 0
+
+    def finish_sweep(self, it: int) -> None:
+        """Every step of sweep ``it`` after the ages, then the snapshot if one is due."""
+        cfg, hyper, state, rng = self.cfg, self.cfg.hyper, self.state, self.rng
+        before = state.alpha
+        if cfg.sampler == "polya":
+            polya_reallocate(state, hyper, rng)
+            update_cluster_params(state, hyper, rng)
+            update_alpha(state, hyper, rng)
+        else:
+            walker_update_weights(state, rng)
+            u = (1.0 - rng.random(len(state.c))) * state.w[state.c]
+            _extend_sticks(state, hyper, rng, float(u.min()))
+            walker_reallocate(state, u, rng)
+            update_cluster_params(state, hyper, rng)
+            _trim_tail_sticks(state)
+            _update_alpha_walker(state, hyper, rng)
+        if state.alpha != before:
+            self.alpha_accepts += 1
+        update_mu_phi(state, hyper, rng)
+
+        stored = len(self.snapshots)
+        if it > cfg.n_burn and (it - cfg.n_burn) % cfg.thin == 0 and stored < cfg.n_stored:
+            self.stored_theta[stored] = state.theta
+            self.snapshots.append(_store_snapshot(state, cfg.sampler))
+
+    def samples(self, curve: CalibrationCurve) -> PosteriorSamples:
+        self.state.validate(curve)
+        return PosteriorSamples(
+            theta=self.stored_theta,
+            clusters=self.snapshots,
+            config=self.cfg,
+            det_ids=[d.id for d in self.dets],
+            alpha_accept_rate=self.alpha_accepts / self.cfg.n_iter,
+        )
+
+
+def _age_step(chains: list[_Chain], curve: CalibrationCurve):
+    """Measurements, slice tuning and generators of the ages of ``chains``, together."""
+    hypers = [ch.cfg.hyper for ch in chains]
+    sizes = [len(ch.x) for ch in chains]
+
+    def per_date(values):
+        if len(set(values)) == 1:
+            return values[0]
+        return np.repeat(values, sizes)
+
+    slice_cfg = SliceConfig(
+        width=per_date([h.slice_width for h in hypers]),
+        max_steps=per_date([h.slice_max_steps for h in hypers]),
+        bounds=curve.support,
+    )
+    if len(chains) == 1:
+        return chains[0].state, chains[0].x, chains[0].var_obs, chains[0].rng, slice_cfg
+    states = [ch.state for ch in chains]
+    x = np.concatenate([ch.x for ch in chains])
+    var_obs = np.concatenate([ch.var_obs for ch in chains])
+    return states, x, var_obs, [ch.rng for ch in chains], slice_cfg
+
+
+def _run_batch(jobs, curve: CalibrationCurve) -> list[PosteriorSamples]:
+    """Advance the chains of ``jobs`` in lockstep: one age update for all per sweep.
+
+    A chain stops after its own ``n_iter`` sweeps; the others go on.
+    """
+    chains = [_Chain(dets, curve, cfg, theta_map) for dets, cfg, theta_map in jobs]
+    first = 1
+    for end in sorted({ch.cfg.n_iter for ch in chains}):
+        live = [ch for ch in chains if ch.cfg.n_iter >= end]
+        state, x, var_obs, rng, slice_cfg = _age_step(live, curve)
+        for it in range(first, end + 1):
+            update_theta(state, x, var_obs, curve, None, rng, slice_cfg=slice_cfg)
+            for ch in live:
+                ch.finish_sweep(it)
+        first = end + 1
+    return [ch.samples(curve) for ch in chains]
+
+
+def run_chains(jobs, curve: CalibrationCurve):
+    """Run independent Gibbs chains, advancing up to ``BATCH_DATES`` dates together.
+
+    ``jobs`` is a sequence of ``(dets, cfg, theta_map)``, one per chain,
+    with ``theta_map`` as for :func:`run_chain` (``None`` to compute it).
+    Consecutive chains are grouped into batches of at most ``BATCH_DATES``
+    dates (a larger chain runs alone); the chains of a batch share each
+    sweep's age update, and every other step runs per chain.  Each chain
+    draws from its own ``np.random.default_rng(cfg.seed)`` exactly what it
+    draws when run alone, so its samples do not depend on its batch.
+
+    Yields each chain's :class:`PosteriorSamples`, in the order of
+    ``jobs``, one batch at a time.
+    """
+    batch, dates = [], 0
+    for job in jobs:
+        n = len(job[0])
+        if batch and dates + n > BATCH_DATES:
+            yield from _run_batch(batch, curve)
+            batch, dates = [], 0
+        batch.append(job)
+        dates += n
+    if batch:
+        yield from _run_batch(batch, curve)
+
+
 def run_chain(
     dets, curve: CalibrationCurve, cfg: ChainConfig, theta_map=None
 ) -> PosteriorSamples:
@@ -625,53 +784,8 @@ def run_chain(
     :func:`~carbcal.calibrate.map_estimates`, computed by :func:`init_state`
     if not given.
     Deterministic given the config seed: rerunning with identical inputs
-    reproduces the output bit for bit.
+    reproduces the output bit for bit.  The one-chain case of
+    :func:`run_chains`.
     """
-    rng = np.random.default_rng(cfg.seed)
-    hyper = cfg.hyper
-    n = len(dets)
-    x = np.array([d.x for d in dets])
-    var_obs = np.array([d.sigma * d.sigma for d in dets])
-    state = init_state(dets, curve, hyper, rng, sampler=cfg.sampler, theta_map=theta_map)
-
-    stored_theta = np.empty((cfg.n_stored, n))
-    snapshots: list[ClusterSample] = []
-    stored = 0
-    alpha_accepts = 0
-    slice_cfg = SliceConfig(
-        width=hyper.slice_width, max_steps=hyper.slice_max_steps, bounds=curve.support
-    )
-
-    for it in range(1, cfg.n_iter + 1):
-        update_theta(state, x, var_obs, curve, hyper, rng, slice_cfg=slice_cfg)
-
-        before = state.alpha
-        if cfg.sampler == "polya":
-            polya_reallocate(state, hyper, rng)
-            update_cluster_params(state, hyper, rng)
-            update_alpha(state, hyper, rng)
-        else:
-            walker_update_weights(state, rng)
-            u = (1.0 - rng.random(n)) * state.w[state.c]
-            _extend_sticks(state, hyper, rng, float(u.min()))
-            walker_reallocate(state, u, rng)
-            update_cluster_params(state, hyper, rng)
-            _trim_tail_sticks(state)
-            _update_alpha_walker(state, hyper, rng)
-        if state.alpha != before:
-            alpha_accepts += 1
-        update_mu_phi(state, hyper, rng)
-
-        if it > cfg.n_burn and (it - cfg.n_burn) % cfg.thin == 0 and stored < cfg.n_stored:
-            stored_theta[stored] = state.theta
-            snapshots.append(_store_snapshot(state, cfg.sampler))
-            stored += 1
-
-    state.validate(curve)
-    return PosteriorSamples(
-        theta=stored_theta,
-        clusters=snapshots,
-        config=cfg,
-        det_ids=[d.id for d in dets],
-        alpha_accept_rate=alpha_accepts / cfg.n_iter,
-    )
+    [samples] = run_chains([(dets, cfg, theta_map)], curve)
+    return samples

@@ -15,12 +15,13 @@ import numpy as np
 from carbcal.calcurve import CalibrationCurve
 from carbcal.calibrate import (
     Determination,
+    Hyperparameters,
     calibrate_independent,
     default_hyperparameters,
     default_resolution,
     map_estimates,
 )
-from carbcal.dpmm import SAMPLERS, ChainConfig, run_chain
+from carbcal.dpmm import SAMPLERS, ChainConfig, run_chains
 from carbcal.errors import DataError
 from carbcal.synthetic import sample_determinations
 
@@ -148,7 +149,22 @@ class RunResult:
     improvement: dict = field(default_factory=dict)  # percent
 
 
-def _execute_run(args) -> RunResult:
+@dataclass
+class _PreparedRun:
+    """A run up to its chains: the result so far and what its chains need."""
+
+    result: RunResult
+    scenario: Scenario
+    theta_map: np.ndarray
+    hyper: Hyperparameters
+
+
+def _execute_run(args) -> _PreparedRun:
+    """Everything of one run before its chains, on the run's own generator.
+
+    Draws the scenario, computes the MAP ages and hyperparameters the chains
+    start from, and the independent-calibration losses.
+    """
     family, n, run_index, run_seed, curve, chain_len = args
     rng = np.random.default_rng(run_seed)
     scenario = gen_scenario(family, n, curve, rng)
@@ -164,17 +180,37 @@ def _execute_run(args) -> RunResult:
         for kind in LOSS_KINDS:
             indep[kind].append(grid_loss(grid, t, kind))
     result.indep_loss = {kind: float(np.mean(losses)) for kind, losses in indep.items()}
+    return _PreparedRun(result, scenario, theta_map, hyper)
 
-    for variant_index, sampler in enumerate(SAMPLERS):
-        seed = 2 * run_seed + variant_index + 1
-        cfg = ChainConfig(*chain_len, sampler=sampler, seed=seed, hyper=hyper)
-        samples = run_chain(scenario.dets, curve, cfg, theta_map)
-        for kind in LOSS_KINDS:
-            losses = [posterior_loss(d, t, kind) for d, t in zip(samples.theta.T, truth)]
-            loss = float(np.mean(losses))
-            result.dpmm_loss[f"{sampler}_{kind}"] = loss
-            result.improvement[f"{sampler}_{kind}"] = improvement(loss, result.indep_loss[kind])
-    return result
+
+def _execute_runs(tasks) -> list[RunResult]:
+    """Run ``tasks`` in order: prepare each, run all their chains together, then score them.
+
+    Each run gets one chain per sampler variant, seeded from the run seed;
+    ``run_chains`` advances them all in lockstep batches, and each chain's
+    samples are the ones it would draw alone.
+    """
+    if not tasks:
+        return []
+    prepared = [_execute_run(task) for task in tasks]
+    jobs = []
+    for (*_, chain_len), run in zip(tasks, prepared):
+        for variant_index, sampler in enumerate(SAMPLERS):
+            seed = 2 * run.result.seed + variant_index + 1
+            cfg = ChainConfig(*chain_len, sampler=sampler, seed=seed, hyper=run.hyper)
+            jobs.append((run.scenario.dets, cfg, run.theta_map))
+    curve = tasks[0][4]  # one curve for the whole study
+    chains = run_chains(jobs, curve)
+    for run in prepared:
+        result, truth = run.result, run.scenario.true_theta
+        for sampler in SAMPLERS:
+            samples = next(chains)
+            for kind in LOSS_KINDS:
+                losses = [posterior_loss(d, t, kind) for d, t in zip(samples.theta.T, truth)]
+                loss = float(np.mean(losses))
+                result.dpmm_loss[f"{sampler}_{kind}"] = loss
+                result.improvement[f"{sampler}_{kind}"] = improvement(loss, result.indep_loss[kind])
+    return [run.result for run in prepared]
 
 
 def summarise(runs: list[RunResult]) -> list[dict]:
@@ -213,8 +249,10 @@ def run_study(
 ) -> tuple[list[dict], list[RunResult]]:
     """Full study: (summary rows, per-run results).
 
-    Runs are independent, seeded as master XOR a global run index, so the
-    result is identical whether executed serially or in parallel.
+    Runs are independent, seeded as master XOR a global run index, and each
+    chain reproduces alone, so the result is identical whether executed
+    serially or in parallel.  ``jobs`` workers, at most one per run, take
+    one contiguous chunk of runs each.
     """
     tasks = []
     run_index = 0
@@ -225,12 +263,15 @@ def run_study(
             for _ in range(n_runs):
                 tasks.append((family, n, run_index, master_seed ^ run_index, curve, chain_len))
                 run_index += 1
-    if jobs > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         # imported here: it loads multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(_execute_run, tasks))
+        cuts = [len(tasks) * w // workers for w in range(workers + 1)]
+        chunks = [tasks[a:b] for a, b in zip(cuts, cuts[1:])]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            runs = [run for chunk in pool.map(_execute_runs, chunks) for run in chunk]
     else:
-        runs = [_execute_run(t) for t in tasks]
+        runs = _execute_runs(tasks)
     return summarise(runs), runs

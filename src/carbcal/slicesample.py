@@ -8,7 +8,9 @@ as "outside the slice", never as errors.
 
 ``slice_sample`` advances one chain; ``slice_sample_array`` advances many
 independent chains (one per coordinate of a vector) by the same kernel, with
-one log-density call per pass over the coordinates still in flight.
+one log-density call per pass over the coordinates still in flight.  The
+coordinates may come in blocks, each drawing from its own generator: a
+block then consumes its stream exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -27,16 +29,19 @@ class SliceConfig:
     max_steps: cap on stepping-out expansions per side.
     bounds: optional hard support (lo, hi); the interval is truncated there
     and no point outside is ever returned.
+
+    For ``slice_sample_array``, ``width`` and ``max_steps`` may also be
+    arrays with one entry per coordinate.
     """
 
-    width: float
-    max_steps: int = 20
+    width: float | np.ndarray
+    max_steps: int | np.ndarray = 20
     bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not self.width > 0:
+        if not np.all(np.asarray(self.width) > 0):
             raise ValueError("slice width must be > 0")
-        if self.max_steps < 1:
+        if not np.all(np.asarray(self.max_steps) >= 1):
             raise ValueError("max_steps must be >= 1")
         if self.bounds is not None and not self.bounds[0] < self.bounds[1]:
             raise ValueError("bounds must satisfy lo < hi")
@@ -104,12 +109,31 @@ def slice_sample(log_density, current: float, cfg: SliceConfig, rng) -> float:
     return new
 
 
-def slice_sample_array(log_density, current, cfg: SliceConfig, rng) -> np.ndarray:
+def _block_uniforms(rngs, stops, active) -> np.ndarray:
+    """Uniforms for the sorted coordinates ``active``, each block from its own generator.
+
+    Block ``b`` holds the coordinates below ``stops[b]`` and at or above the
+    stop before it; its generator draws one uniform per active coordinate of
+    the block, and nothing when the block has none.
+    """
+    if len(rngs) == 1:
+        return rngs[0].random(active.size)
+    out = np.empty(active.size)
+    start = 0
+    for rng, stop in zip(rngs, np.searchsorted(active, stops).tolist()):
+        if stop > start:
+            rng.random(out=out[start:stop])
+            start = stop
+    return out
+
+
+def slice_sample_array(log_density, current, cfg: SliceConfig, rng, blocks=None) -> np.ndarray:
     """One slice-sampling transition of each coordinate of ``current``.
 
-    The coordinates are independent chains sharing ``cfg``; each follows
-    the kernel of :func:`slice_sample` (same width, per-side step cap,
-    bounds, shrinkage toward the current point, NaN outside the slice).
+    The coordinates are independent chains; each follows the kernel of
+    :func:`slice_sample` (same per-side step cap, bounds, shrinkage toward
+    the current point, NaN outside the slice), with its own width and step
+    cap when ``cfg`` gives them per coordinate.
 
     Parameters
     ----------
@@ -121,32 +145,57 @@ def slice_sample_array(log_density, current, cfg: SliceConfig, rng) -> np.ndarra
         Current states; each must have finite log density and lie within
         bounds.
     cfg : SliceConfig
-    rng : numpy.random.Generator
+    rng : numpy.random.Generator, or a sequence of them, one per block
+    blocks : sequence of int, optional
+        With a sequence of generators: the sizes of the consecutive blocks
+        of coordinates they serve, in order.  Each generator first draws
+        the exponentials, then the uniforms of its whole block, and then,
+        in every shrinkage pass, one uniform per coordinate of its block
+        still in flight, so a block's draws do not depend on the others.
 
     Returns the new states as a new array.
     """
     current = np.asarray(current, dtype=float)
     n = current.size
+    if blocks is None:
+        rngs, stops = [rng], [n]
+    else:
+        rngs, stops = list(rng), np.cumsum(blocks).tolist()
+        if len(rngs) != len(stops) or (stops and stops[-1] != n):
+            raise ValueError("need one generator per block, and blocks covering every coordinate")
     index = np.arange(n)
     lp0 = np.asarray(log_density(current, index), dtype=float)
     if not np.all(np.isfinite(lp0)):
         bad = int(np.argmin(np.isfinite(lp0)))
         raise ValueError(f"log density not finite at starting point {current[bad]!r}")
-    z = lp0 - rng.standard_exponential(n)
+    expo = np.empty(n)
+    offset = np.empty(n)
+    first = 0
+    for gen, stop in zip(rngs, stops):
+        gen.standard_exponential(out=expo[first:stop])
+        gen.random(out=offset[first:stop])
+        first = stop
+    z = lp0 - expo
 
     lo, hi = cfg.bounds if cfg.bounds is not None else (-math.inf, math.inf)
     width = cfg.width
-    left = current - width * rng.random(n)
+    per_width = np.ndim(width) > 0
+    left = current - width * offset
     right = left + width
     np.maximum(left, lo, out=left)
     np.minimum(right, hi, out=right)
 
     # Stepping out: each pass evaluates every end still growing, both sides
     # in one call; an end stops at its first point off the slice, at the
-    # bound, or after max_steps expansions.
+    # bound, or after its max_steps expansions.
+    max_steps = cfg.max_steps
+    per_steps = np.ndim(max_steps) > 0
     grow_left = index[left > lo]
     grow_right = index[right < hi]
-    for _ in range(cfg.max_steps):
+    for step in range(int(max_steps.max()) if per_steps else max_steps):
+        if per_steps:
+            grow_left = grow_left[max_steps[grow_left] > step]
+            grow_right = grow_right[max_steps[grow_right] > step]
         n_left = grow_left.size
         if n_left + grow_right.size == 0:
             break
@@ -155,8 +204,10 @@ def slice_sample_array(log_density, current, cfg: SliceConfig, rng) -> np.ndarra
         inside = log_density(ends, which) > z[which]  # NaN compares False
         grow_left = grow_left[inside[:n_left]]
         grow_right = grow_right[inside[n_left:]]
-        left[grow_left] = np.maximum(left[grow_left] - width, lo)
-        right[grow_right] = np.minimum(right[grow_right] + width, hi)
+        step_left = width[grow_left] if per_width else width
+        step_right = width[grow_right] if per_width else width
+        left[grow_left] = np.maximum(left[grow_left] - step_left, lo)
+        right[grow_right] = np.minimum(right[grow_right] + step_right, hi)
         grow_left = grow_left[left[grow_left] > lo]
         grow_right = grow_right[right[grow_right] < hi]
 
@@ -166,7 +217,7 @@ def slice_sample_array(log_density, current, cfg: SliceConfig, rng) -> np.ndarra
     new = current.copy()
     active, start = index, current
     while active.size:
-        proposal = left + rng.random(active.size) * (right - left)
+        proposal = left + _block_uniforms(rngs, stops, active) * (right - left)
         accepted = log_density(proposal, active) > z
         new[active[accepted]] = proposal[accepted]
         below = proposal < start

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
@@ -653,3 +654,70 @@ def test_calibrate_bundled_dates_at_coarse_resolution(tmp_path):
     assert len(list(out.glob("*_posterior.csv"))) == len(dets) == 100
     grid = calibrate_independent(dets[-1], load_curve(SITE_CURVE), 10.0)
     assert (out / f"{dets[-1].id}_posterior.csv").read_bytes() == write_csv_bytes(tmp_path, grid)
+
+
+@pytest.mark.parametrize("sampler", ["walker", "polya"])
+def test_dpmm_chains_match_single_chain_runs(tmp_path, dets_file_multi, synth_curve_file, sampler):
+    # Chains run together; each writes what a one-chain run with its seed writes.
+    together = tmp_path / "together"
+    opts = dict(iters=40, burn=10, thin=3, seed=21, sampler=sampler)
+    assert main(dpmm_args(dets_file_multi, synth_curve_file, together, chains=3, **opts)) == 0
+    for k in range(3):
+        alone = tmp_path / f"alone{k}"
+        assert main(dpmm_args(dets_file_multi, synth_curve_file, alone, **dict(opts, seed=21 + k))) == 0
+        for path in alone.rglob("*"):
+            if path.is_dir() or path.name == "manifest.json":
+                continue
+            rel = path.relative_to(alone)
+            parts = list(rel.parts)
+            stem, dot, ext = parts[0].partition(".")
+            parts[0] = f"{stem}_chain{k}{dot}{ext}"
+            assert path.read_bytes() == together.joinpath(*parts).read_bytes(), rel
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("subcommand", ["calibrate", "spd", "dpmm", "simulate"])
+def test_manifest_records_input_hashes_and_numpy_version(
+    tmp_path, dets_file_multi, synth_curve_file, subcommand
+):
+    manifests = []
+    for name in ("r1", "r2"):
+        out = tmp_path / name
+        if subcommand == "dpmm":
+            args = dpmm_args(dets_file_multi, synth_curve_file, out)
+        elif subcommand == "simulate":
+            args = ["simulate", "--curve", str(synth_curve_file), "--out", str(out), "--n", "4"]
+            args += ["--runs", "1", "--iters", "6", "--burn", "3", "--thin", "1"]
+        else:
+            args = [subcommand, dets_file_multi, "--curve", str(synth_curve_file), "--out", str(out)]
+        assert main(args) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    first = manifests[0]
+    expected = {str(synth_curve_file): sha256_of(synth_curve_file)}
+    if subcommand != "simulate":
+        expected[dets_file_multi] = sha256_of(dets_file_multi)
+    assert first["sha256"] == expected
+    assert first["numpy_version"] == np.__version__
+    # reruns' manifests differ only in the output directory they record
+    differ = {key for key in first if first[key] != manifests[1][key]}
+    assert differ == {"output_dir"}
+
+
+def test_demo_data_script_reproduces_the_bundled_determinations(tmp_path, capsys):
+    import importlib.util
+    import shutil
+
+    spec = importlib.util.spec_from_file_location(
+        "generate_demo_data", REPO_ROOT / "scripts" / "generate_demo_data.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    shutil.copy(SITE_CURVE, tmp_path / "synthetic_curve.14c")
+    script.generate(tmp_path)
+    assert (tmp_path / "example_three_phase.csv").read_bytes() == Path(SITE).read_bytes()
+    # the bundled curve is read, never rewritten
+    assert (tmp_path / "synthetic_curve.14c").read_bytes() == Path(SITE_CURVE).read_bytes()
+    assert "synthetic_curve.14c" not in capsys.readouterr().out

@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from carbcal.dpmm import (
     log_alpha_likelihood,
     polya_reallocate,
     run_chain,
+    run_chains,
     update_alpha,
     update_cluster_params,
     update_mu_phi,
@@ -755,3 +758,123 @@ def test_posterior_samples_roundtrip(tmp_path, synth_curve, sampler):
         assert np.array_equal(snap_a.phi, snap_b.phi)
         if sampler == "walker":
             assert np.array_equal(snap_a.w, snap_b.w)
+
+
+# ---------------------------------------------------------------------------
+# lockstep chains
+
+
+def chain_digest(samples):
+    """sha256 of every stored value of a chain, in storage order."""
+    h = hashlib.sha256(samples.theta.tobytes())
+    for snap in samples.clusters:
+        for arr in (snap.c, snap.phi, snap.tau, snap.counts, snap.w):
+            h.update(b"-" if arr is None else arr.tobytes())
+        h.update(repr((snap.alpha, snap.mu_phi)).encode())
+    h.update(repr(samples.alpha_accept_rate).encode())
+    return h.hexdigest()
+
+
+def assert_same_chain(a, b):
+    assert a.theta.tobytes() == b.theta.tobytes()
+    assert len(a.clusters) == len(b.clusters)
+    for snap_a, snap_b in zip(a.clusters, b.clusters):
+        for name in ("c", "phi", "tau", "counts"):
+            assert getattr(snap_a, name).tobytes() == getattr(snap_b, name).tobytes(), name
+        assert (snap_a.w is None) == (snap_b.w is None)
+        if snap_a.w is not None:
+            assert snap_a.w.tobytes() == snap_b.w.tobytes()
+        assert repr((snap_a.alpha, snap_a.mu_phi)) == repr((snap_b.alpha, snap_b.mu_phi))
+    assert repr(a.alpha_accept_rate) == repr(b.alpha_accept_rate)
+    assert a.config == b.config and a.det_ids == b.det_ids
+
+
+#: Digests of the two 60-sweep chains below, as the one-chain `run_chain` loop
+#: drew them before chains ran in lockstep.  A change here means a chain's
+#: draws moved, from the code or from numpy's streams.
+ONE_CHAIN_DIGESTS = {
+    "polya": "ad8076f9450e5085afbce382efe0c088dcd0908f8ed255a0b3493231b8a4dbdd",
+    "walker": "3c554b64d98afc8915aeac45694011f9d5cda1149e309c41c853fde619824402",
+}
+
+
+@pytest.mark.parametrize("sampler", ["polya", "walker"])
+def test_batch_of_one_keeps_the_one_chain_draws(synth_curve, sampler):
+    dets, hyper = chain_setup(synth_curve)
+    cfg = ChainConfig(n_iter=60, n_burn=20, thin=2, sampler=sampler, seed=99, hyper=hyper)
+    [alone] = run_chains([(dets, cfg, None)], synth_curve)
+    assert chain_digest(alone) == ONE_CHAIN_DIGESTS[sampler]
+    assert_same_chain(alone, run_chain(dets, synth_curve, cfg))
+
+
+def test_run_chains_gives_each_chain_its_own_run(synth_curve):
+    # Mixed samplers, different dates and sizes, different hyperparameters
+    # (slice widths and step caps included) and run lengths in one batch.
+    jobs = []
+    for k, (n, sampler) in enumerate([(8, "walker"), (5, "polya"), (11, "walker"), (3, "polya")]):
+        rng = np.random.default_rng(300 + k)
+        truth = rng.uniform(2000 + 900 * k, 2400 + 900 * k, size=n)
+        from carbcal.synthetic import sample_determinations
+
+        dets = sample_determinations(truth, synth_curve, 20.0 + 5 * k, rng)
+        theta_map = map_estimates(dets, synth_curve)
+        hyper = default_hyperparameters(dets, synth_curve, theta_map=theta_map)
+        hyper = replace(hyper, slice_width=hyper.slice_width * (1 + 0.5 * k), slice_max_steps=3 + 4 * k)
+        cfg = ChainConfig(
+            n_iter=40 + 10 * k, n_burn=10, thin=3, sampler=sampler, seed=7 + k, hyper=hyper
+        )
+        jobs.append((dets, cfg, theta_map if k % 2 else None))
+    together = list(run_chains(jobs, synth_curve))
+    assert len(together) == len(jobs)
+    for (dets, cfg, theta_map), samples in zip(jobs, together):
+        assert_same_chain(samples, run_chain(dets, synth_curve, cfg, theta_map))
+
+
+def test_run_chains_splits_at_the_batch_cap(synth_curve, monkeypatch):
+    import carbcal.dpmm as dpmm
+
+    dets, hyper = chain_setup(synth_curve)
+    jobs = [
+        (dets, ChainConfig(n_iter=20, n_burn=5, thin=1, sampler=s, seed=k, hyper=hyper), None)
+        for k, s in enumerate(["polya", "walker", "walker"])
+    ]
+    batches = []
+    run_batch = dpmm._run_batch
+
+    def counting(batch, curve):
+        batches.append(len(batch))
+        return run_batch(batch, curve)
+
+    monkeypatch.setattr(dpmm, "_run_batch", counting)
+    monkeypatch.setattr(dpmm, "BATCH_DATES", 2 * len(dets))
+    capped = list(run_chains(jobs, synth_curve))
+    assert batches == [2, 1]
+    for (d, cfg, _), samples in zip(jobs, capped):
+        assert_same_chain(samples, run_chain(d, synth_curve, cfg))
+
+
+def test_run_chains_refuses_a_start_with_no_finite_density(synth_curve):
+    dets, hyper = chain_setup(synth_curve)
+    cfg = ChainConfig(n_iter=5, n_burn=1, thin=1, sampler="walker", seed=0, hyper=hyper)
+    good = map_estimates(dets, synth_curve)
+    bad = good.copy()
+    bad[3] = np.nan  # no finite density
+    with pytest.raises(ValueError, match="not finite"):
+        list(run_chains([(dets, cfg, good), (dets, cfg, bad)], synth_curve))
+
+
+def test_cheap_draw_forms_match_gamma_and_normal():
+    # The chain writes gamma(a, s) as s * standard_gamma(a) and normal(m, s)
+    # as m + s * standard_normal(shape); both must give numpy's bits and
+    # leave the stream where numpy's own draw leaves it.
+    for seed in range(200):
+        params = np.random.default_rng(10_000 + seed)
+        for k in [None, *range(1, 10)]:
+            a = params.uniform(0.1, 30.0, size=k)
+            s = params.uniform(1e-4, 50.0, size=k)
+            m = params.normal(3000.0, 500.0, size=k)
+            ref, cheap = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(ref.gamma(a, s), s * cheap.standard_gamma(a))
+            shape = None if k is None else (k,)
+            assert np.array_equal(ref.normal(m, s), m + s * cheap.standard_normal(shape))
+            assert ref.random() == cheap.random()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -139,3 +140,22 @@ def test_run_study_smoke_and_parallel_determinism(synth_curve):
     assert rows == rows2
     for a, b in zip(runs, runs2):
         assert a.improvement == b.improvement
+
+
+def test_run_study_same_results_for_any_jobs_and_batch_cap(synth_curve, monkeypatch):
+    import carbcal.dpmm as dpmm
+
+    def study(jobs):
+        rows, runs = run_study(
+            ["three_normal", "uniform"], [5, 7], 1, synth_curve,
+            master_seed=11, chain_len=(30, 10, 2), jobs=jobs,
+        )
+        return rows, [asdict(r) for r in runs]
+
+    serial = study(1)
+    assert [r["run_index"] for r in serial[1]] == [0, 1, 2, 3]
+    assert study(2) == serial
+    assert study(3) == serial
+    # a cap below two chains' dates splits the study's chains into many batches
+    monkeypatch.setattr(dpmm, "BATCH_DATES", 9)
+    assert study(1) == serial

@@ -264,3 +264,57 @@ def test_array_invalid_start_raises():
         )
     with pytest.raises(ValueError):
         slice_sample_array(lambda x, index: np.full(x.shape, np.nan), np.zeros(3), cfg, rng)
+
+
+# ---------------------------------------------------------------------------
+# blocks of coordinates, each on its own generator
+
+
+def block_target(x, index):
+    # coordinate i: a normal centred at 7 * i with sd 1 + i / 3
+    return -0.5 * ((x - 7.0 * index) / (1.0 + index / 3.0)) ** 2
+
+
+def test_blocks_draw_what_each_block_draws_alone():
+    sizes = [3, 1, 5, 2]
+    widths = [0.5, 4.0, 1.5, 9.0]
+    steps = [2, 20, 1, 6]
+    cuts = np.cumsum([0] + sizes)
+    seeds = [11, 12, 13, 14]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    cfg = SliceConfig(
+        width=np.repeat(widths, sizes), max_steps=np.repeat(steps, sizes), bounds=(-5.0, 100.0)
+    )
+    x = 7.0 * np.arange(cuts[-1]) + 2.0
+    alone = [x[a:b].copy() for a, b in zip(cuts, cuts[1:])]
+    alone_rngs = [np.random.default_rng(s) for s in seeds]
+    for _ in range(30):
+        x = slice_sample_array(block_target, x, cfg, rngs, blocks=sizes)
+        for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            own = SliceConfig(width=widths[k], max_steps=steps[k], bounds=(-5.0, 100.0))
+            alone[k] = slice_sample_array(
+                lambda p, i, a=a: block_target(p, i + a), alone[k], own, alone_rngs[k]
+            )
+    assert x.tobytes() == np.concatenate(alone).tobytes()
+    # every generator is left exactly where its block alone leaves it
+    assert [r.random() for r in rngs] == [r.random() for r in alone_rngs]
+
+
+def test_blocks_invalid_start_in_any_block_raises():
+    rngs = [np.random.default_rng(k) for k in range(3)]
+    cfg = SliceConfig(width=1.0)
+    with pytest.raises(ValueError, match="not finite"):
+        slice_sample_array(
+            lambda x, index: np.where(index == 4, -math.inf, 0.0), np.zeros(6), cfg, rngs, [2, 2, 2]
+        )
+    with pytest.raises(ValueError, match="one generator per block"):
+        slice_sample_array(lambda x, index: np.zeros_like(x), np.zeros(6), cfg, rngs, [2, 2])
+    with pytest.raises(ValueError, match="one generator per block"):
+        slice_sample_array(lambda x, index: np.zeros_like(x), np.zeros(6), cfg, rngs, [2, 2, 1])
+
+
+def test_per_coordinate_tuning_is_validated():
+    with pytest.raises(ValueError):
+        SliceConfig(width=np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        SliceConfig(width=1.0, max_steps=np.array([3, 0]))
