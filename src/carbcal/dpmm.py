@@ -316,25 +316,22 @@ def update_theta(
 
     ``state`` may also be a list of chain states advanced together, with
     ``rng`` a list of their generators, one per state, and ``x``,
-    ``var_obs`` (and any per-coordinate widths or step caps of
-    ``slice_cfg``) running over the states' dates in order.  Each state's
-    generator serves its own dates only, so each chain draws what it would
-    alone.  The states are updated in place.
+    ``var_obs`` (and any per-coordinate widths of ``slice_cfg``) running
+    over the states' dates in order.  Each state's generator serves its own
+    dates only, so each chain draws what it would alone.  The states are
+    updated in place, and nothing is returned.
     """
     if slice_cfg is None:
         slice_cfg = SliceConfig(
             width=hyper.slice_width, max_steps=hyper.slice_max_steps, bounds=curve.support
         )
-    if isinstance(state, DpmmState):
-        states, blocks = [state], None
-        theta = state.theta
-        phi = state.phi[state.c]
-        half_tau = 0.5 * state.tau[state.c]
-    else:
-        states, blocks = state, [len(s.theta) for s in state]
-        theta = np.concatenate([s.theta for s in states])
-        phi = np.concatenate([s.phi[s.c] for s in states])
-        half_tau = 0.5 * np.concatenate([s.tau[s.c] for s in states])
+    single = isinstance(state, DpmmState)
+    states = [state] if single else state
+    rngs = [rng] if single else rng
+    blocks = [len(s.theta) for s in states]
+    theta = np.concatenate([s.theta for s in states])
+    phi = np.concatenate([s.phi[s.c] for s in states])
+    half_tau = 0.5 * np.concatenate([s.tau[s.c] for s in states])
     interp = curve.interp
 
     def log_post(theta, index):
@@ -345,15 +342,12 @@ def update_theta(
         dev = theta - phi[index]
         return -0.5 * (resid * resid / var + np.log(var)) - half_tau[index] * dev * dev
 
-    new = slice_sample_array(log_post, theta, slice_cfg, rng, blocks)
-    if blocks is None:
-        state.theta[:] = new
-        return state.theta
+    new = slice_sample_array(log_post, theta, slice_cfg, rngs, blocks)
     start = 0
     for s, size in zip(states, blocks):
         s.theta[:] = new[start : start + size]
         start += size
-    return None
+    return state.theta if single else None
 
 
 # ---------------------------------------------------------------------------
@@ -709,22 +703,21 @@ class _Chain:
 
 
 def _age_step(chains: list[_Chain], curve: CalibrationCurve):
-    """Measurements, slice tuning and generators of the ages of ``chains``, together."""
-    hypers = [ch.cfg.hyper for ch in chains]
-    sizes = [len(ch.x) for ch in chains]
+    """Measurements, slice tuning and generators of the ages of ``chains``, together.
 
-    def per_date(values):
-        if len(set(values)) == 1:
-            return values[0]
-        return np.repeat(values, sizes)
-
+    The chains share one step cap (``run_chains`` batches them so); their
+    widths may differ.
+    """
+    widths = [ch.cfg.hyper.slice_width for ch in chains]
+    if len(set(widths)) > 1:
+        width = np.repeat(widths, [len(ch.x) for ch in chains])
+    else:
+        width = widths[0]
     slice_cfg = SliceConfig(
-        width=per_date([h.slice_width for h in hypers]),
-        max_steps=per_date([h.slice_max_steps for h in hypers]),
+        width=width,
+        max_steps=chains[0].cfg.hyper.slice_max_steps,
         bounds=curve.support,
     )
-    if len(chains) == 1:
-        return chains[0].state, chains[0].x, chains[0].var_obs, chains[0].rng, slice_cfg
     states = [ch.state for ch in chains]
     x = np.concatenate([ch.x for ch in chains])
     var_obs = np.concatenate([ch.var_obs for ch in chains])
@@ -754,9 +747,10 @@ def run_chains(jobs, curve: CalibrationCurve):
 
     ``jobs`` is a sequence of ``(dets, cfg, theta_map)``, one per chain,
     with ``theta_map`` as for :func:`run_chain` (``None`` to compute it).
-    Consecutive chains are grouped into batches of at most ``BATCH_DATES``
-    dates (a larger chain runs alone); the chains of a batch share each
-    sweep's age update, and every other step runs per chain.  Each chain
+    Consecutive chains with the same ``slice_max_steps`` are grouped into
+    batches of at most ``BATCH_DATES`` dates (a larger chain runs alone);
+    the chains of a batch share each sweep's age update, and every other
+    step runs per chain.  Each chain
     draws from its own ``np.random.default_rng(cfg.seed)`` exactly what it
     draws when run alone, so its samples do not depend on its batch.
 
@@ -766,7 +760,8 @@ def run_chains(jobs, curve: CalibrationCurve):
     batch, dates = [], 0
     for job in jobs:
         n = len(job[0])
-        if batch and dates + n > BATCH_DATES:
+        steps = job[1].hyper.slice_max_steps
+        if batch and (dates + n > BATCH_DATES or steps != batch[0][1].hyper.slice_max_steps):
             yield from _run_batch(batch, curve)
             batch, dates = [], 0
         batch.append(job)

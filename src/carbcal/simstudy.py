@@ -251,8 +251,9 @@ def run_study(
 
     Runs are independent, seeded as master XOR a global run index, and each
     chain reproduces alone, so the result is identical whether executed
-    serially or in parallel.  ``jobs`` workers, at most one per run, take
-    one contiguous chunk of runs each.
+    serially or in parallel.  ``jobs`` workers, at most one per run, share
+    the runs: ordered by n, they are dealt out in turn, so each worker gets
+    a like share of every size and family.
     """
     tasks = []
     run_index = 0
@@ -268,10 +269,11 @@ def run_study(
         # imported here: it loads multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        cuts = [len(tasks) * w // workers for w in range(workers + 1)]
-        chunks = [tasks[a:b] for a, b in zip(cuts, cuts[1:])]
+        by_n = sorted(tasks, key=lambda task: task[1])
+        chunks = [by_n[w::workers] for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = [run for chunk in pool.map(_execute_runs, chunks) for run in chunk]
+        runs.sort(key=lambda run: run.run_index)
     else:
         runs = _execute_runs(tasks)
     return summarise(runs), runs

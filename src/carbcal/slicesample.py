@@ -30,18 +30,18 @@ class SliceConfig:
     bounds: optional hard support (lo, hi); the interval is truncated there
     and no point outside is ever returned.
 
-    For ``slice_sample_array``, ``width`` and ``max_steps`` may also be
-    arrays with one entry per coordinate.
+    For ``slice_sample_array``, ``width`` may also be an array with one
+    entry per coordinate.
     """
 
     width: float | np.ndarray
-    max_steps: int | np.ndarray = 20
+    max_steps: int = 20
     bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not np.all(np.asarray(self.width) > 0):
             raise ValueError("slice width must be > 0")
-        if not np.all(np.asarray(self.max_steps) >= 1):
+        if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.bounds is not None and not self.bounds[0] < self.bounds[1]:
             raise ValueError("bounds must satisfy lo < hi")
@@ -132,8 +132,8 @@ def slice_sample_array(log_density, current, cfg: SliceConfig, rng, blocks=None)
 
     The coordinates are independent chains; each follows the kernel of
     :func:`slice_sample` (same per-side step cap, bounds, shrinkage toward
-    the current point, NaN outside the slice), with its own width and step
-    cap when ``cfg`` gives them per coordinate.
+    the current point, NaN outside the slice), with its own width when
+    ``cfg`` gives one per coordinate.
 
     Parameters
     ----------
@@ -187,15 +187,10 @@ def slice_sample_array(log_density, current, cfg: SliceConfig, rng, blocks=None)
 
     # Stepping out: each pass evaluates every end still growing, both sides
     # in one call; an end stops at its first point off the slice, at the
-    # bound, or after its max_steps expansions.
-    max_steps = cfg.max_steps
-    per_steps = np.ndim(max_steps) > 0
+    # bound, or after max_steps expansions.
     grow_left = index[left > lo]
     grow_right = index[right < hi]
-    for step in range(int(max_steps.max()) if per_steps else max_steps):
-        if per_steps:
-            grow_left = grow_left[max_steps[grow_left] > step]
-            grow_right = grow_right[max_steps[grow_right] > step]
+    for _ in range(cfg.max_steps):
         n_left = grow_left.size
         if n_left + grow_right.size == 0:
             break

@@ -807,9 +807,12 @@ def test_batch_of_one_keeps_the_one_chain_draws(synth_curve, sampler):
     assert_same_chain(alone, run_chain(dets, synth_curve, cfg))
 
 
-def test_run_chains_gives_each_chain_its_own_run(synth_curve):
+def test_run_chains_gives_each_chain_its_own_run(synth_curve, monkeypatch):
     # Mixed samplers, different dates and sizes, different hyperparameters
-    # (slice widths and step caps included) and run lengths in one batch.
+    # (slice widths included) and run lengths in one batch; a change of step
+    # cap starts a new batch.
+    import carbcal.dpmm as dpmm
+
     jobs = []
     for k, (n, sampler) in enumerate([(8, "walker"), (5, "polya"), (11, "walker"), (3, "polya")]):
         rng = np.random.default_rng(300 + k)
@@ -819,12 +822,21 @@ def test_run_chains_gives_each_chain_its_own_run(synth_curve):
         dets = sample_determinations(truth, synth_curve, 20.0 + 5 * k, rng)
         theta_map = map_estimates(dets, synth_curve)
         hyper = default_hyperparameters(dets, synth_curve, theta_map=theta_map)
-        hyper = replace(hyper, slice_width=hyper.slice_width * (1 + 0.5 * k), slice_max_steps=3 + 4 * k)
+        hyper = replace(hyper, slice_width=hyper.slice_width * (1 + 0.5 * k), slice_max_steps=3 + 4 * (k // 2))
         cfg = ChainConfig(
             n_iter=40 + 10 * k, n_burn=10, thin=3, sampler=sampler, seed=7 + k, hyper=hyper
         )
         jobs.append((dets, cfg, theta_map if k % 2 else None))
+    batches = []
+    run_batch = dpmm._run_batch
+
+    def counting(batch, curve):
+        batches.append(len(batch))
+        return run_batch(batch, curve)
+
+    monkeypatch.setattr(dpmm, "_run_batch", counting)
     together = list(run_chains(jobs, synth_curve))
+    assert batches == [2, 2]
     assert len(together) == len(jobs)
     for (dets, cfg, theta_map), samples in zip(jobs, together):
         assert_same_chain(samples, run_chain(dets, synth_curve, cfg, theta_map))
