@@ -8,14 +8,19 @@ Runs one fixed-seed command set with each tree's ``src/`` on its own
 and with one and three chains, and ``simulate`` on one and on two worker
 processes.  Every output file except ``manifest.json`` (which records its
 output directory and input paths) must be byte-identical between the trees.
-Prints each difference and exits 1 if there is any, 0 otherwise.  Standard
-library only, so it runs against any checkout.
+Prints each difference and exits 1 if there is any, 0 otherwise.  For a file
+that differs it also prints how many of its cells differ (the text between
+commas, white space and JSON brackets) and the largest relative difference
+among cells that are normal floats in both files.  Standard library only,
+so it runs against any checkout.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -77,9 +82,43 @@ def compare(out_a: Path, out_b: Path) -> list[str]:
     problems = [f"only in A: {rel}" for rel in sorted(files_a.keys() - files_b.keys())]
     problems += [f"only in B: {rel}" for rel in sorted(files_b.keys() - files_a.keys())]
     for rel in sorted(files_a.keys() & files_b.keys()):
-        if files_a[rel].read_bytes() != files_b[rel].read_bytes():
-            problems.append(f"differs: {rel}")
+        bytes_a, bytes_b = files_a[rel].read_bytes(), files_b[rel].read_bytes()
+        if bytes_a != bytes_b:
+            cell_diff = cell_differences(bytes_a.decode(), bytes_b.decode())
+            problems.append(f"differs: {rel} ({cell_diff})")
     return problems
+
+
+def cells(text: str) -> list[str]:
+    """The cells of a CSV, JSON or JSON-lines file: the text between separators."""
+    return re.split(r"[\s,:\[\]{}]+", text)
+
+
+def normal_float(cell: str):
+    """The value of ``cell`` if it is a normal float (finite, nonzero, not subnormal), else None."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) and abs(value) >= sys.float_info.min else None
+
+
+def cell_differences(text_a: str, text_b: str) -> str:
+    """How many cells differ, and the largest relative difference among normal floats."""
+    cells_a, cells_b = cells(text_a), cells(text_b)
+    if len(cells_a) != len(cells_b):
+        return f"{len(cells_a)} cells against {len(cells_b)}"
+    differing = [(a, b) for a, b in zip(cells_a, cells_b) if a != b]
+    rel = [
+        abs(va - vb) / max(abs(va), abs(vb))
+        for va, vb in ((normal_float(a), normal_float(b)) for a, b in differing)
+        if va is not None and vb is not None
+    ]
+    largest = f"{max(rel):.3g}" if rel else "none"
+    return (
+        f"{len(differing)} of {len(cells_a)} cells differ; "
+        f"largest relative difference among normal floats {largest}"
+    )
 
 
 def main(argv=None) -> int:

@@ -215,6 +215,20 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
+#: The constant the log densities here leave out.
+LOG_2PI = math.log(2.0 * math.pi)
+
+
+def log_likelihood(x, mean, var, log_var):
+    """Log normal density of ``x`` with mean ``mean`` and variance ``var``, less ``LOG_2PI / 2``.
+
+    ``log_var`` is ``log(var)``, which a scan of many dates takes once per variance.  With
+    the curve's mean, and its variance plus the date's, it is the log likelihood of a date.
+    """
+    resid = x - mean
+    return -0.5 * (resid * resid / var + log_var)
+
+
 def likelihood(det: Determination, curve: CalibrationCurve, theta):
     """Measurement density of ``det.x`` at calendar age(s) theta.
 
@@ -223,8 +237,19 @@ def likelihood(det: Determination, curve: CalibrationCurve, theta):
     """
     m, rho = curve.at(theta)
     var = rho * rho + det.sigma * det.sigma
-    resid = det.x - m
-    return np.exp(-0.5 * resid * resid / var) / np.sqrt(2.0 * math.pi * var)
+    return np.exp(log_likelihood(det.x, m, var, np.log(var)) - 0.5 * LOG_2PI)
+
+
+def normal_mixture_density(theta, weights, means, sds):
+    """Density at ``theta`` of a normal mixture; components of weight zero are skipped."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.zeros_like(theta)
+    for weight, mean, sd in zip(weights, means, sds):
+        if weight == 0.0:
+            continue
+        z = (theta - mean) / sd
+        out += weight * np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+    return out
 
 
 def uniform_grid(lo: float, hi: float, resolution: float) -> np.ndarray:
@@ -343,9 +368,9 @@ def map_estimates(dets, curve: CalibrationCurve, coarse_resolution: float = COAR
     peak = np.empty(len(dets))
     for sigma, members in by_sigma.items():
         var = rho2 + sigma * sigma
-        half_log_var = 0.5 * np.log(var)
+        log_var = np.log(var)
         for k in members:
-            loglik = -0.5 * (dets[k].x - m) ** 2 / var - half_log_var
+            loglik = log_likelihood(dets[k].x, m, var, log_var)
             best = int(np.argmax(loglik))
             peak[k] = loglik[best]
             out[k] = theta[best]

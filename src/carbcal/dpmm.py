@@ -33,11 +33,16 @@ from pathlib import Path
 import numpy as np
 
 from carbcal.calcurve import CalibrationCurve
-from carbcal.calibrate import Hyperparameters, map_estimates, write_csv, write_json
+from carbcal.calibrate import (
+    LOG_2PI,
+    Hyperparameters,
+    log_likelihood,
+    map_estimates,
+    write_csv,
+    write_json,
+)
 from carbcal.errors import DataError
 from carbcal.slicesample import SliceConfig, slice_sample_array
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 _MAX_STICKS = 100_000  # safety valve for the stick-extension loop
 
@@ -298,36 +303,18 @@ def init_state(
 # step 1: calendar ages
 
 
-def update_theta(
-    state,
-    x: np.ndarray,
-    var_obs: np.ndarray,
-    curve: CalibrationCurve,
-    hyper: Hyperparameters,
-    rng,
-    slice_cfg: SliceConfig | None = None,
-):
-    """Slice-sample every calendar age from its conditional, all at once.
+def update_theta(states, rngs, x, var_obs, curve: CalibrationCurve, slice_cfg: SliceConfig):
+    """Slice-sample every calendar age of ``states`` from its conditional, all at once.
 
     Given the cluster parameters the ages are independent, each with log
     density: curve likelihood of its measurement ``x`` (variance ``var_obs``
     plus the curve variance) times its cluster's normal prior, additive
-    constants dropped.  Returns ``state.theta``, updated in place.
-
-    ``state`` may also be a list of chain states advanced together, with
-    ``rng`` a list of their generators, one per state, and ``x``,
-    ``var_obs`` (and any per-coordinate widths of ``slice_cfg``) running
-    over the states' dates in order.  Each state's generator serves its own
-    dates only, so each chain draws what it would alone.  The states are
-    updated in place, and nothing is returned.
+    constants dropped.  ``states`` are chain states advanced together and
+    ``rngs`` their generators, one per state; ``x``, ``var_obs`` and any
+    per-coordinate widths of ``slice_cfg`` run over the states' dates in
+    order.  Each state's generator serves its own dates only, so each chain
+    draws what it would alone.  The states' ages are updated in place.
     """
-    if slice_cfg is None:
-        slice_cfg = SliceConfig(
-            width=hyper.slice_width, max_steps=hyper.slice_max_steps, bounds=curve.support
-        )
-    single = isinstance(state, DpmmState)
-    states = [state] if single else state
-    rngs = [rng] if single else rng
     blocks = [len(s.theta) for s in states]
     theta = np.concatenate([s.theta for s in states])
     phi = np.concatenate([s.phi[s.c] for s in states])
@@ -338,16 +325,14 @@ def update_theta(
         both = interp(theta)
         sd = both.imag
         var = sd * sd + var_obs[index]
-        resid = x[index] - both.real
         dev = theta - phi[index]
-        return -0.5 * (resid * resid / var + np.log(var)) - half_tau[index] * dev * dev
+        return log_likelihood(x[index], both.real, var, np.log(var)) - half_tau[index] * dev * dev
 
     new = slice_sample_array(log_post, theta, slice_cfg, rngs, blocks)
     start = 0
     for s, size in zip(states, blocks):
         s.theta[:] = new[start : start + size]
         start += size
-    return state.theta if single else None
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +551,7 @@ def _std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _update_alpha_mh(state: DpmmState, hyper: Hyperparameters, rng, log_likelihood) -> float:
+def _update_alpha_mh(state: DpmmState, hyper: Hyperparameters, rng, log_lik) -> float:
     """Shared MH kernel: positive-truncated normal proposal plus cdf correction."""
     alpha = state.alpha
     sd = hyper.alpha_prop_sd
@@ -582,8 +567,8 @@ def _update_alpha_mh(state: DpmmState, hyper: Hyperparameters, rng, log_likeliho
         - log_prior(alpha)
         + math.log(_std_normal_cdf(alpha / sd))
         - math.log(_std_normal_cdf(prop / sd))
-        + log_likelihood(prop)
-        - log_likelihood(alpha)
+        + log_lik(prop)
+        - log_lik(alpha)
     )
     if math.log(rng.random()) < log_accept:
         state.alpha = float(prop)
@@ -702,40 +687,28 @@ class _Chain:
         )
 
 
-def _age_step(chains: list[_Chain], curve: CalibrationCurve):
-    """Measurements, slice tuning and generators of the ages of ``chains``, together.
-
-    The chains share one step cap (``run_chains`` batches them so); their
-    widths may differ.
-    """
-    widths = [ch.cfg.hyper.slice_width for ch in chains]
-    if len(set(widths)) > 1:
-        width = np.repeat(widths, [len(ch.x) for ch in chains])
-    else:
-        width = widths[0]
-    slice_cfg = SliceConfig(
-        width=width,
-        max_steps=chains[0].cfg.hyper.slice_max_steps,
-        bounds=curve.support,
-    )
-    states = [ch.state for ch in chains]
-    x = np.concatenate([ch.x for ch in chains])
-    var_obs = np.concatenate([ch.var_obs for ch in chains])
-    return states, x, var_obs, [ch.rng for ch in chains], slice_cfg
-
-
 def _run_batch(jobs, curve: CalibrationCurve) -> list[PosteriorSamples]:
     """Advance the chains of ``jobs`` in lockstep: one age update for all per sweep.
 
-    A chain stops after its own ``n_iter`` sweeps; the others go on.
+    The chains share one step cap (``run_chains`` batches them so); their
+    widths may differ.  A chain stops after its own ``n_iter`` sweeps; the
+    others go on.
     """
     chains = [_Chain(dets, curve, cfg, theta_map) for dets, cfg, theta_map in jobs]
     first = 1
     for end in sorted({ch.cfg.n_iter for ch in chains}):
         live = [ch for ch in chains if ch.cfg.n_iter >= end]
-        state, x, var_obs, rng, slice_cfg = _age_step(live, curve)
+        widths = [ch.cfg.hyper.slice_width for ch in live]
+        if len(set(widths)) > 1:
+            width = np.repeat(widths, [len(ch.x) for ch in live])
+        else:
+            width = widths[0]
+        slice_cfg = SliceConfig(width, live[0].cfg.hyper.slice_max_steps, curve.support)
+        states, rngs = [ch.state for ch in live], [ch.rng for ch in live]
+        x = np.concatenate([ch.x for ch in live])
+        var_obs = np.concatenate([ch.var_obs for ch in live])
         for it in range(first, end + 1):
-            update_theta(state, x, var_obs, curve, None, rng, slice_cfg=slice_cfg)
+            update_theta(states, rngs, x, var_obs, curve, slice_cfg)
             for ch in live:
                 ch.finish_sweep(it)
         first = end + 1

@@ -10,14 +10,18 @@ credible band.
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from carbcal.calibrate import Hyperparameters, median_abs_deviation, uniform_grid
+from carbcal.calibrate import (
+    Hyperparameters,
+    median_abs_deviation,
+    normal_mixture_density,
+    uniform_grid,
+)
 from carbcal.dpmm import ClusterSample, PosteriorSamples, base_marginal
 from carbcal.errors import DataError
 
@@ -55,15 +59,10 @@ def predictive_realisation(
     sample: ClusterSample, hyper: Hyperparameters, grid: np.ndarray
 ) -> np.ndarray:
     """Exact predictive density of one stored snapshot on the grid."""
-    grid = np.asarray(grid, dtype=float)
     w, p_new = _mixture_weights(sample)
-    out = np.zeros_like(grid)
-    for weight, phi_j, tau_j in zip(w, sample.phi, sample.tau):
-        if weight == 0.0:
-            continue
-        sd = tau_j**-0.5
-        z = (grid - phi_j) / sd
-        out += weight * np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+    # One scalar power per cluster: the array power ``tau**-0.5`` can differ in the last bit.
+    sds = [tau_j**-0.5 for tau_j in sample.tau]
+    out = normal_mixture_density(grid, w, sample.phi, sds)
     if p_new > 0.0:
         out += p_new * base_marginal(grid, sample.mu_phi, hyper)
     return out

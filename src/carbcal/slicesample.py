@@ -57,9 +57,12 @@ def _slice_step(log_density, current: float, cfg: SliceConfig, rng) -> tuple[flo
     lp0 = float(log_density(current))
     if not math.isfinite(lp0):
         raise ValueError(f"log density not finite at starting point {current!r}")
+    lo, hi = cfg.bounds if cfg.bounds is not None else (-math.inf, math.inf)
+    if not lo <= current <= hi:
+        # an interval clipped to the bounds would not hold the start: shrinkage would never end
+        raise ValueError(f"starting point {float(current)!r} outside bounds {cfg.bounds}")
     z = lp0 - rng.standard_exponential()
 
-    lo, hi = cfg.bounds if cfg.bounds is not None else (-math.inf, math.inf)
     width = cfg.width
     left = current - width * rng.random()
     right = left + width
@@ -167,7 +170,12 @@ def slice_sample_array(log_density, current, cfg: SliceConfig, rng, blocks=None)
     lp0 = np.asarray(log_density(current, index), dtype=float)
     if not np.all(np.isfinite(lp0)):
         bad = int(np.argmin(np.isfinite(lp0)))
-        raise ValueError(f"log density not finite at starting point {current[bad]!r}")
+        raise ValueError(f"log density not finite at starting point {float(current[bad])!r}")
+    lo, hi = cfg.bounds if cfg.bounds is not None else (-math.inf, math.inf)
+    if cfg.bounds is not None and n and not lo <= current.min() <= current.max() <= hi:
+        # an interval clipped to the bounds would not hold its start: shrinkage would never end
+        bad = float(current[~((lo <= current) & (current <= hi))][0])
+        raise ValueError(f"starting point {bad!r} outside bounds {cfg.bounds}")
     expo = np.empty(n)
     offset = np.empty(n)
     first = 0
@@ -177,7 +185,6 @@ def slice_sample_array(log_density, current, cfg: SliceConfig, rng, blocks=None)
         first = stop
     z = lp0 - expo
 
-    lo, hi = cfg.bounds if cfg.bounds is not None else (-math.inf, math.inf)
     width = cfg.width
     per_width = np.ndim(width) > 0
     left = current - width * offset

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from carbcal.calcurve import CalibrationCurve
-from carbcal.calibrate import Determination, write_csv
+from carbcal.calibrate import Determination, normal_mixture_density, write_csv
 
 #: Weight, mean and sd of the bundled three-phase demo mixture (cal yr BP).
 DEMO_PHASES = ((0.1, 3500.0, 200.0), (0.4, 4200.0, 100.0), (0.5, 5000.0, 300.0))
@@ -94,12 +94,7 @@ def three_phase_determinations(curve: CalibrationCurve, n: int = 100, seed: int 
 
 def true_three_phase_density(theta):
     """Density of the demo mixture, for comparing reconstructions."""
-    theta = np.asarray(theta, dtype=float)
-    out = np.zeros_like(theta)
-    for weight, mean, sd in DEMO_PHASES:
-        z = (theta - mean) / sd
-        out += weight * np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
-    return out
+    return normal_mixture_density(theta, *zip(*DEMO_PHASES))
 
 
 def write_determination_file(dets, path) -> None:

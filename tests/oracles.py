@@ -271,3 +271,31 @@ def ref_map_estimates(dets, curve, coarse_resolution=5.0):
             raise ValueError(det.id)
         out[k] = theta[best]
     return out
+
+
+def ref_predictive_mixture(w, phi, tau, grid):
+    """Reference normal-mixture part of one snapshot's predictive, one cluster per pass.
+
+    The loop as it stood before the package shared one mixture density: a
+    zero weight is skipped and each cluster's sd is its own scalar power of
+    its precision.  The package's predictive, less its new-cluster term,
+    must equal it bit for bit.
+    """
+    out = np.zeros_like(grid)
+    for weight, phi_j, tau_j in zip(w, phi, tau):
+        if weight == 0.0:
+            continue
+        sd = tau_j**-0.5
+        z = (grid - phi_j) / sd
+        out += weight * np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+    return out
+
+
+def ref_three_phase_density(theta, phases):
+    """Reference density of a mixture given as (weight, mean, sd) triples, one per pass."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.zeros_like(theta)
+    for weight, mean, sd in phases:
+        z = (theta - mean) / sd
+        out += weight * np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+    return out

@@ -18,6 +18,7 @@ from carbcal.calibrate import (
     default_hyperparameters,
     hpd_intervals,
     likelihood,
+    log_likelihood,
     map_estimates,
     prior_cluster_sd_quantile,
     read_determinations,
@@ -28,6 +29,22 @@ from carbcal.calibrate import (
 from carbcal.errors import DataError
 from carbcal.synthetic import write_determination_file
 from conftest import make_flat_curve, make_linear_curve
+
+
+def test_log_likelihood_matches_scipy_normal_logpdf():
+    rng = np.random.default_rng(8)
+    half_log_2pi = 0.5 * math.log(2.0 * math.pi)
+    x, mean = rng.normal(3000.0, 300.0, size=(2, 500))
+    var = rng.uniform(10.0, 1e4, size=500)
+    want = stats.norm.logpdf(x, mean, np.sqrt(var)) + half_log_2pi
+    np.testing.assert_allclose(log_likelihood(x, mean, var, np.log(var)), want, rtol=1e-12)
+    # one variance broadcast over many dates against a curve's means
+    dates = rng.normal(3000.0, 100.0, size=(40, 1))
+    curve_mean = np.linspace(2500.0, 3500.0, 301)
+    got = log_likelihood(dates, curve_mean, 900.0, math.log(900.0))
+    want = stats.norm.logpdf(dates, curve_mean, 30.0) + half_log_2pi
+    assert got.shape == (40, 301)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_likelihood_standard_normal_mode():

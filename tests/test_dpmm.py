@@ -38,6 +38,7 @@ from carbcal.dpmm import (
 )
 from carbcal.errors import DataError
 from carbcal.simstudy import gen_scenario
+from carbcal.slicesample import SliceConfig
 from conftest import make_linear_curve
 
 
@@ -59,6 +60,13 @@ def simple_hyper(**overrides):
 def observations(*dets):
     """Measurement and variance arrays in the form update_theta takes."""
     return np.array([d.x for d in dets]), np.array([d.sigma**2 for d in dets])
+
+
+def age_step(state, x, var_obs, curve, hyper, rng):
+    """One age update of one chain; returns its ages."""
+    cfg = SliceConfig(hyper.slice_width, hyper.slice_max_steps, curve.support)
+    update_theta([state], [rng], x, var_obs, curve, cfg)
+    return state.theta
 
 
 def fixed_theta_state(thetas, labels, phi, tau, alpha=1.0, mu_phi=500.0):
@@ -120,7 +128,7 @@ def test_init_clusters_keep_first_age_update_on_the_likelihood(synth_curve):
     for seed in range(10):
         rng = np.random.default_rng(seed)
         state = init_state(dets, synth_curve, hyper, rng, sampler="walker", theta_map=theta_map)
-        update_theta(state, x, var_obs, synth_curve, hyper, rng)
+        age_step(state, x, var_obs, synth_curve, hyper, rng)
         at_new = np.array([likelihood(d, synth_curve, t) for d, t in zip(dets, state.theta)])
         assert np.all(at_new > np.exp(-30.0) * at_map)
 
@@ -140,7 +148,7 @@ def test_update_theta_flat_curve_matches_truncated_normal(flat_curve):
     rng = np.random.default_rng(42)
     draws = np.empty(30_000)
     for k in range(30_000):
-        draws[k] = update_theta(state, x, var_obs, flat_curve, hyper, rng)[0]
+        draws[k] = age_step(state, x, var_obs, flat_curve, hyper, rng)[0]
     truncated = stats.truncnorm((0 - phi) / sd, (1000 - phi) / sd, loc=phi, scale=sd)
     ks = stats.kstest(draws[::3], truncated.cdf).statistic
     assert ks < 0.02
@@ -154,7 +162,7 @@ def test_update_theta_degenerate_prior_pins_age(flat_curve):
     state = fixed_theta_state([500.0], [0], [500.0], [1e8])
     rng = np.random.default_rng(1)
     draws = np.array(
-        [update_theta(state, x, var_obs, flat_curve, hyper, rng)[0] for _ in range(500)]
+        [age_step(state, x, var_obs, flat_curve, hyper, rng)[0] for _ in range(500)]
     )
     assert np.all(np.abs(draws - 500.0) < 1e-3)
     assert np.abs(draws - 500.0).std() < 2e-4
@@ -171,7 +179,7 @@ def test_update_theta_identity_curve_conjugate_posterior():
     state = fixed_theta_state([5000.0], [0], [phi], [tau])
     rng = np.random.default_rng(7)
     draws = np.array(
-        [update_theta(state, x_obs, var_obs, curve, hyper, rng)[0] for _ in range(40_000)]
+        [age_step(state, x_obs, var_obs, curve, hyper, rng)[0] for _ in range(40_000)]
     )
     prec = sigma**-2 + tau
     post_mean = (sigma**-2 * x + tau * phi) / prec
@@ -196,13 +204,25 @@ def test_update_theta_all_dates_follow_their_own_conditionals():
     hyper = simple_hyper(slice_width=150.0)
     rng = np.random.default_rng(70)
     draws = np.array(
-        [update_theta(state, x, var_obs, curve, hyper, rng).copy() for _ in range(40_000)]
+        [age_step(state, x, var_obs, curve, hyper, rng).copy() for _ in range(40_000)]
     )
     prec = 1.0 / var_obs + tau
     post_mean = (x / var_obs + tau * phi) / prec
     for i in range(3):
         ks = stats.kstest(draws[5000::3, i], stats.norm(post_mean[i], prec[i] ** -0.5).cdf)
         assert ks.statistic < 0.02
+
+
+def test_run_chains_refuses_a_start_outside_the_curve_support(synth_curve):
+    # The curve is clamped past its support, so the age density there is
+    # finite; the slice kernel's interval then never held the start and the
+    # chain never returned.
+    dets = [Determination(str(i), 3000.0 + 40 * i, 25.0) for i in range(5)]
+    theta_map = map_estimates(dets, synth_curve)
+    theta_map[2] = synth_curve.support[1] + 1e6
+    cfg = ChainConfig(n_iter=5, n_burn=0, thin=1, sampler="walker", seed=1, hyper=simple_hyper())
+    with pytest.raises(ValueError, match="outside bounds"):
+        list(run_chains([(dets, cfg, theta_map)], synth_curve))
 
 
 # ---------------------------------------------------------------------------

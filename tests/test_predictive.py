@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from carbcal.calibrate import Hyperparameters
 from carbcal.dpmm import ClusterSample, base_marginal
 from carbcal.errors import DataError
 from carbcal.predictive import (
+    _mixture_weights,
     cluster_count_posterior,
     default_predictive_grid,
     predictive_density,
@@ -102,6 +104,39 @@ def test_inconsistent_walker_weights_rejected():
     sample = walker_sample([0.7, 0.5], [450.0, 550.0], [1e-3, 1e-3], [5, 5])
     with pytest.raises(AssertionError):
         predictive_realisation(sample, hyper(), np.linspace(0, 1000, 11))
+
+
+def test_realisation_is_the_per_cluster_mixture_loop(synth_curve):
+    # Snapshots of short chains of both samplers, and one with an empty stick.
+    from carbcal.calibrate import default_hyperparameters
+    from carbcal.dpmm import ChainConfig, run_chains
+    from carbcal.synthetic import sample_determinations
+
+    rng = np.random.default_rng(12)
+    truth = np.concatenate([rng.normal(3300.0, 60.0, 15), rng.normal(4100.0, 120.0, 15)])
+    dets = sample_determinations(truth, synth_curve, 25.0, rng)
+    h = default_hyperparameters(dets, synth_curve)
+    jobs = [
+        (dets, ChainConfig(40, 20, 2, sampler, seed=3, hyper=h), None)
+        for sampler in ("walker", "polya")
+    ]
+    snaps = [snap for samples in run_chains(jobs, synth_curve) for snap in samples.clusters]
+    snaps.append(walker_sample([0.5, 0.0, 0.3], [3300.0, 3700.0, 4100.0], [3e-4] * 3, [5, 0, 5]))
+    grid = np.arange(2800.0, 4600.0, 2.5)
+    for snap in snaps:
+        w, p_new = _mixture_weights(snap)
+        want = oracles.ref_predictive_mixture(w, snap.phi, snap.tau, grid)
+        if p_new > 0.0:
+            want += p_new * base_marginal(grid, snap.mu_phi, h)
+        assert predictive_realisation(snap, h, grid).tobytes() == want.tobytes()
+
+
+def test_true_three_phase_density_is_the_per_phase_mixture_loop():
+    from carbcal.synthetic import DEMO_PHASES, true_three_phase_density
+
+    theta = np.arange(2000.0, 7000.0, 0.5)
+    want = oracles.ref_three_phase_density(theta, DEMO_PHASES)
+    assert true_three_phase_density(theta).tobytes() == want.tobytes()
 
 
 class FakeSamples:

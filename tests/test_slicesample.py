@@ -110,6 +110,21 @@ def test_invalid_start_raises():
         slice_sample(lambda x: -math.inf, 0.0, cfg, rng)
 
 
+def test_start_outside_bounds_raises():
+    # Clipped to the bounds, the initial interval no longer held the start,
+    # so shrinkage never ended on a peaked density and a flatter one let an
+    # out-of-bounds start through.
+    cfg = SliceConfig(width=5.0, bounds=(0.0, 60.0))
+    for sd in (1.0, 50.0):
+        with pytest.raises(ValueError, match="outside bounds"):
+            rng = np.random.default_rng(4)
+            slice_sample(lambda x: -0.5 * ((x - 72.0) / sd) ** 2, 72.0, cfg, rng)
+    with pytest.raises(ValueError, match="outside bounds"):
+        slice_sample(lambda x: 0.0, -1e-9, cfg, np.random.default_rng(4))
+    # a start on a bound is inside
+    assert 0.0 <= slice_sample(lambda x: 0.0, 60.0, cfg, np.random.default_rng(4)) <= 60.0
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SliceConfig(width=0.0)
@@ -266,6 +281,20 @@ def test_array_invalid_start_raises():
         slice_sample_array(lambda x, index: np.full(x.shape, np.nan), np.zeros(3), cfg, rng)
 
 
+def test_array_start_outside_bounds_raises():
+    cfg = SliceConfig(width=5.0, bounds=(0.0, 60.0))
+    start = np.array([10.0, 72.0, 30.0])
+    with pytest.raises(ValueError, match="starting point 72.0 outside bounds"):
+        slice_sample_array(
+            lambda x, index: -0.5 * (x - 72.0) ** 2, start, cfg, np.random.default_rng(4)
+        )
+    # starts on the bounds are inside
+    new = slice_sample_array(
+        lambda x, index: np.zeros_like(x), np.array([0.0, 60.0]), cfg, np.random.default_rng(4)
+    )
+    assert np.all((new >= 0.0) & (new <= 60.0))
+
+
 # ---------------------------------------------------------------------------
 # blocks of coordinates, each on its own generator
 
@@ -308,6 +337,16 @@ def test_blocks_invalid_start_in_any_block_raises():
         slice_sample_array(lambda x, index: np.zeros_like(x), np.zeros(6), cfg, rngs, [2, 2])
     with pytest.raises(ValueError, match="one generator per block"):
         slice_sample_array(lambda x, index: np.zeros_like(x), np.zeros(6), cfg, rngs, [2, 2, 1])
+
+
+def test_blocks_start_outside_bounds_in_any_block_raises():
+    rngs = [np.random.default_rng(k) for k in range(3)]
+    cfg = SliceConfig(width=np.repeat([1.0, 2.0, 3.0], 2), bounds=(0.0, 60.0))
+    start = np.array([10.0, 20.0, 30.0, 40.0, 72.0, 50.0])
+    with pytest.raises(ValueError, match="outside bounds"):
+        slice_sample_array(
+            lambda x, index: -0.5 * (x - 72.0) ** 2, start, cfg, rngs, blocks=[2, 2, 2]
+        )
 
 
 def test_per_coordinate_tuning_is_validated():
