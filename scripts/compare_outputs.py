@@ -5,9 +5,10 @@
 Runs one fixed-seed command set with each tree's ``src/`` on its own
 ``PYTHONPATH``, the data files taken from that tree's ``data/``:
 ``calibrate`` and ``spd`` on the bundled dates, ``dpmm`` with each sampler
-and with one and three chains, and ``simulate`` on one and on two worker
-processes.  Every output file except ``manifest.json`` (which records its
-output directory and input paths) must be byte-identical between the trees.
+and with one and three chains, and ``simulate`` of all three scenario
+families on one and on two worker processes.  Every output file except
+``manifest.json`` (which records its output directory and input paths) must
+be byte-identical between the trees.
 Prints each difference and exits 1 if there is any, 0 otherwise.  For a file
 that differs it also prints how many of its cells differ (the text between
 commas, white space and JSON brackets) and the largest relative difference
@@ -45,9 +46,9 @@ COMMANDS = [
     *[
         (
             f"simulate-jobs{jobs}",
-            ["simulate", "--curve", CURVE, "--family", "three_normal,uniform", "--n", "12,30",
-             "--runs", "2", "--iters", "120", "--burn", "60", "--thin", "2", "--seed", "5",
-             "--jobs", str(jobs)],
+            ["simulate", "--curve", CURVE, "--family", "single_normal,three_normal,uniform",
+             "--n", "12,30", "--runs", "2", "--iters", "120", "--burn", "60", "--thin", "2",
+             "--seed", "5", "--jobs", str(jobs)],
         )
         for jobs in (1, 2)
     ],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import functools
 import io
 import json
 import math
@@ -229,6 +230,16 @@ def log_likelihood(x, mean, var, log_var):
     return -0.5 * (resid * resid / var + log_var)
 
 
+def date_variance(rho2, sigma):
+    """The variance ``rho2 + sigma**2`` of a date's likelihood and its log.
+
+    ``rho2`` is the curve's variance at the ages scanned and ``sigma`` the
+    date's lab sd.  Scans of many dates take these once per distinct sigma.
+    """
+    var = rho2 + sigma * sigma
+    return var, np.log(var)
+
+
 def likelihood(det: Determination, curve: CalibrationCurve, theta):
     """Measurement density of ``det.x`` at calendar age(s) theta.
 
@@ -236,8 +247,8 @@ def likelihood(det: Determination, curve: CalibrationCurve, theta):
     i.e. the observation model marginalised over curve uncertainty.
     """
     m, rho = curve.at(theta)
-    var = rho * rho + det.sigma * det.sigma
-    return np.exp(log_likelihood(det.x, m, var, np.log(var)) - 0.5 * LOG_2PI)
+    var, log_var = date_variance(rho * rho, det.sigma)
+    return np.exp(log_likelihood(det.x, m, var, log_var) - 0.5 * LOG_2PI)
 
 
 def normal_mixture_density(theta, weights, means, sds):
@@ -270,18 +281,35 @@ def _require_mass(
         )
 
 
+def independent_grids(dets, curve: CalibrationCurve, resolution: float):
+    """Yield the posterior grid of each date of ``dets`` under a flat prior, in order.
+
+    One pass over the curve serves every date: the grid and the curve's mean
+    and sd on it are made once, and the variance terms once per sigma (those
+    of the four sigmas used last are kept, so with more distinct sigmas
+    interleaved some are made again).  A date with no likelihood mass on the
+    grid raises ``DataError`` when its turn comes.  A generator, so that a
+    caller holds one date's grid at a time: a list of them would take 88 kB
+    per date at 11,001 grid points.
+    """
+    if not resolution > 0:
+        raise DataError("resolution must be > 0")
+    theta = uniform_grid(*curve.support, resolution)
+    m, rho = curve.at(theta)
+    variance = functools.lru_cache(maxsize=4)(functools.partial(date_variance, rho * rho))
+    for det in dets:
+        var, log_var = variance(det.sigma)
+        density = np.exp(log_likelihood(det.x, m, var, log_var) - 0.5 * LOG_2PI)
+        total = density.sum()
+        _require_mass(det, curve, total, resolution)
+        yield DensityGrid(theta, density / (total * resolution), resolution)
+
+
 def calibrate_independent(
     det: Determination, curve: CalibrationCurve, resolution: float
 ) -> DensityGrid:
     """Posterior calendar-age grid for one determination under a flat prior."""
-    if not resolution > 0:
-        raise DataError("resolution must be > 0")
-    theta = uniform_grid(*curve.support, resolution)
-    density = likelihood(det, curve, theta)
-    total = density.sum()
-    _require_mass(det, curve, total, resolution)
-    density = density / (total * resolution)
-    return DensityGrid(theta, density, resolution)
+    return next(independent_grids([det], curve, resolution))
 
 
 def spd(dets, curve: CalibrationCurve, resolution: float) -> DensityGrid:
@@ -290,8 +318,8 @@ def spd(dets, curve: CalibrationCurve, resolution: float) -> DensityGrid:
         raise DataError("spd needs at least one determination")
     theta = uniform_grid(*curve.support, resolution)
     total = np.zeros_like(theta)
-    for det in dets:
-        total += calibrate_independent(det, curve, resolution).density
+    for grid in independent_grids(dets, curve, resolution):
+        total += grid.density
     total /= len(dets)
     total /= total.sum() * resolution
     return DensityGrid(theta, total, resolution)
@@ -367,8 +395,7 @@ def map_estimates(dets, curve: CalibrationCurve, coarse_resolution: float = COAR
     out = np.empty(len(dets))
     peak = np.empty(len(dets))
     for sigma, members in by_sigma.items():
-        var = rho2 + sigma * sigma
-        log_var = np.log(var)
+        var, log_var = date_variance(rho2, sigma)
         for k in members:
             loglik = log_likelihood(dets[k].x, m, var, log_var)
             best = int(np.argmax(loglik))

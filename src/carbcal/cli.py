@@ -31,12 +31,12 @@ from carbcal.calibrate import (
     DensityGrid,
     GridWriter,
     Hyperparameters,
-    calibrate_independent,
     default_hyperparameters,
     default_resolution,
     hpd_from_draws,
     hpd_intervals,
     hyper_key,
+    independent_grids,
     map_estimates,
     read_determinations,
     spd,
@@ -243,9 +243,10 @@ def _cmd_calibrate(args, parser) -> int:
     _map_ages(args.determinations, dets, curve, max(COARSE_RESOLUTION, resolution))
     outdir = _start_run(args, {"resolution": resolution, "hpd_levels": list(HPD_LEVELS)})
     writer = GridWriter(uniform_grid(*curve.support, resolution))
-    for stem, det in by_stem.items():
+    grids = independent_grids(dets, curve, resolution)  # by_stem keeps the dates' order
+    for stem in by_stem:
         try:
-            grid = calibrate_independent(det, curve, resolution)
+            grid = next(grids)
         except DataError as exc:  # a backstop: _map_ages refuses such dates first
             raise DataError(f"{args.determinations}: {exc}") from None
         _write_grid(writer, grid, outdir / f"{stem}_posterior.csv")
@@ -352,6 +353,11 @@ def _cmd_simulate(args, parser) -> int:
         n_values = [_int_at_least(2)(v) for v in args.n.split(",")]
     except (ValueError, argparse.ArgumentTypeError):
         parser.error(f"argument --n: expected comma-separated integers >= 2, got {args.n!r}")
+    # a repeated item would pool its runs into one row of results.csv
+    for option, items in (("--family", families), ("--n", n_values)):
+        repeated = next((v for k, v in enumerate(items) if v in items[:k]), None)
+        if repeated is not None:
+            parser.error(f"argument {option}: {repeated!r} is given more than once")
     check_chain_length(args.iters, args.burn, args.thin)
     config = {
         "families": families,

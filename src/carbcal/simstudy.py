@@ -16,9 +16,9 @@ from carbcal.calcurve import CalibrationCurve
 from carbcal.calibrate import (
     Determination,
     Hyperparameters,
-    calibrate_independent,
     default_hyperparameters,
     default_resolution,
+    independent_grids,
     map_estimates,
 )
 from carbcal.dpmm import SAMPLERS, ChainConfig, run_chains
@@ -52,23 +52,35 @@ class Scenario:
 
 
 def _draw_truth(family: str, n: int, rng) -> tuple[np.ndarray, dict]:
+    """One candidate truth of ``family``: ``n`` ages and the parameters that drew them.
+
+    Each draw is numpy's own arithmetic on the generator's ``standard_*`` and
+    ``random`` streams, in numpy's order, so the bits and the stream position
+    are those of ``gamma(1, s)``, ``normal(m, s)``, ``dirichlet([1, 1, 1])``,
+    ``choice(3, n, p=w)`` and ``uniform(a, b)``, without their per-call
+    argument handling: ``three_normal`` accepts about one try in 1,260.
+    A size-``n`` draw with scalar parameters stays numpy's call, whose one
+    loop is as fast.  The parameters are returned as drawn (floats or
+    arrays); only an accepted truth's are converted for its descriptor.
+    """
     if family == "single_normal":
-        tau = rng.gamma(1.0, 1.0 / 10_000.0)
-        phi = rng.normal(10_000.0, 10.0 / tau)  # variance 100 / tau^2
-        theta = rng.normal(phi, tau**-0.5, size=n)
-        return theta, {"tau": float(tau), "phi": float(phi)}
+        tau = (1.0 / 10_000.0) * rng.standard_exponential()
+        phi = 10_000.0 + (10.0 / tau) * rng.standard_normal()  # variance 100 / tau^2
+        return rng.normal(phi, tau**-0.5, size=n), {"tau": tau, "phi": phi}
     if family == "three_normal":
-        tau = rng.gamma(1.0, 1.0 / 10_000.0, size=3)
-        phi = rng.normal(3_000.0, 10.0 / tau)
-        w = rng.dirichlet([1.0, 1.0, 1.0])
-        comp = rng.choice(3, size=n, p=w)
-        theta = rng.normal(phi[comp], tau[comp] ** -0.5)
-        return theta, {"tau": tau.tolist(), "phi": phi.tolist(), "w": w.tolist()}
+        tau = (1.0 / 10_000.0) * rng.standard_exponential(3)
+        phi = 3_000.0 + (10.0 / tau) * rng.standard_normal(3)
+        g = rng.standard_exponential(3)
+        w = g * (1.0 / (g[0] + g[1] + g[2]))
+        cdf = w.cumsum()
+        cdf /= cdf[-1]
+        comp = cdf.searchsorted(rng.random(n), side="right")
+        theta = phi[comp] + tau[comp] ** -0.5 * rng.standard_normal(n)
+        return theta, {"tau": tau, "phi": phi, "w": w}
     # "uniform", the one family left: gen_scenario has checked the name
-    start = rng.uniform(100.0, 14_000.0)
-    length = rng.uniform(50.0, 1_000.0)
-    theta = rng.uniform(start, start + length, size=n)
-    return theta, {"start": float(start), "length": float(length)}
+    start = 100.0 + (14_000.0 - 100.0) * rng.random()
+    length = 50.0 + (1_000.0 - 50.0) * rng.random()
+    return rng.uniform(start, start + length, size=n), {"start": start, "length": length}
 
 
 def gen_scenario(family: str, n: int, curve: CalibrationCurve, rng) -> Scenario:
@@ -79,9 +91,11 @@ def gen_scenario(family: str, n: int, curve: CalibrationCurve, rng) -> Scenario:
         raise DataError(f"unknown scenario family {family!r}; choose from {FAMILIES}")
     lo, hi = FAMILY_BOUNDS[family]
     while True:
-        theta, descriptor = _draw_truth(family, n, rng)
+        theta, params = _draw_truth(family, n, rng)
         if theta.min() >= lo and theta.max() <= hi:
             break
+    # plain floats, and lists of them for three_normal's components
+    descriptor = {key: np.asarray(value).tolist() for key, value in params.items()}
     dets = sample_determinations(theta, curve, SIGMA_OBS, rng, prefix="sim")
     return Scenario(family, n, theta, dets, descriptor)
 
@@ -175,8 +189,7 @@ def _execute_run(args) -> _PreparedRun:
 
     resolution = default_resolution(curve.support[1] - curve.support[0])
     indep = {kind: [] for kind in LOSS_KINDS}
-    for det, t in zip(scenario.dets, truth):
-        grid = calibrate_independent(det, curve, resolution)
+    for grid, t in zip(independent_grids(scenario.dets, curve, resolution), truth):
         for kind in LOSS_KINDS:
             indep[kind].append(grid_loss(grid, t, kind))
     result.indep_loss = {kind: float(np.mean(losses)) for kind, losses in indep.items()}

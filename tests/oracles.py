@@ -299,3 +299,44 @@ def ref_three_phase_density(theta, phases):
         z = (theta - mean) / sd
         out += weight * np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
     return out
+
+
+def ref_draw_truth(family, n, rng):
+    """Reference candidate truth of a study scenario family, drawn with numpy's distribution calls.
+
+    The draws as they stood before the study wrote them on the generator's
+    ``standard_*`` streams.  The package's scenarios, and its generator's
+    position after drawing one, must equal those of a rejection loop over this.
+    """
+    if family == "single_normal":
+        tau = rng.gamma(1.0, 1.0 / 10_000.0)
+        phi = rng.normal(10_000.0, 10.0 / tau)
+        theta = rng.normal(phi, tau**-0.5, size=n)
+        return theta, {"tau": float(tau), "phi": float(phi)}
+    if family == "three_normal":
+        tau = rng.gamma(1.0, 1.0 / 10_000.0, size=3)
+        phi = rng.normal(3_000.0, 10.0 / tau)
+        w = rng.dirichlet([1.0, 1.0, 1.0])
+        comp = rng.choice(3, size=n, p=w)
+        theta = rng.normal(phi[comp], tau[comp] ** -0.5)
+        return theta, {"tau": tau.tolist(), "phi": phi.tolist(), "w": w.tolist()}
+    start = rng.uniform(100.0, 14_000.0)
+    length = rng.uniform(50.0, 1_000.0)
+    theta = rng.uniform(start, start + length, size=n)
+    return theta, {"start": float(start), "length": float(length)}
+
+
+def ref_independent_density(det, curve, resolution):
+    """Reference posterior grid density of one date under a flat prior, one date per call.
+
+    The per-date formula as it stood before many dates shared one curve pass:
+    the grid, the curve on it and the variance are rebuilt for every date.
+    """
+    lo, hi = curve.support
+    n_cells = int(math.floor((hi - lo) / resolution + 1e-9))
+    theta = lo + resolution * np.arange(n_cells + 1)
+    m, rho = curve.at(theta)
+    var = rho * rho + det.sigma * det.sigma
+    resid = det.x - m
+    density = np.exp(-0.5 * (resid * resid / var + np.log(var)) - 0.5 * math.log(2.0 * math.pi))
+    return density / (density.sum() * resolution)

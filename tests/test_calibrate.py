@@ -1,6 +1,7 @@
 import codecs
 import csv
 import math
+import types
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from carbcal.calibrate import (
     calibrate_independent,
     default_hyperparameters,
     hpd_intervals,
+    independent_grids,
     likelihood,
     log_likelihood,
     map_estimates,
@@ -573,6 +575,64 @@ def test_calibrate_independent_rejects_date_off_the_curve(synth_curve):
         calibrate_independent(det, synth_curve, 5.0)
     with pytest.raises(DataError, match="'far'"):
         spd([Determination("near", 3000.0, 30.0), det], synth_curve, 5.0)
+
+
+def _two_sigma_dets(curve, seed=8):
+    """Dates across the curve whose two sigmas interleave, singly and in runs."""
+    rng = np.random.default_rng(seed)
+    sigmas = [25.0, 40.0, 25.0, 25.0, 40.0, 40.0, 40.0, 25.0, 40.0, 25.0, 25.0, 40.0]
+    truth = rng.uniform(500.0, 40_000.0, size=len(sigmas))
+    m, _ = curve.at(truth)
+    return [Determination(f"d{k}", float(m[k] + rng.normal(0.0, 50.0)), s)
+            for k, s in enumerate(sigmas)]
+
+
+@pytest.mark.parametrize("make_dets", [_two_sigma_dets, _mixed_sigma_dets])
+def test_independent_grids_match_per_date_reference_bitwise(synth_curve, make_dets):
+    # _mixed_sigma_dets has more distinct sigmas than independent_grids keeps terms for
+    dets = make_dets(synth_curve)
+    for resolution in (5.0, 7.5):
+        grids = independent_grids(dets, synth_curve, resolution)
+        assert isinstance(grids, types.GeneratorType)  # one grid held at a time
+        grids = list(grids)
+        assert len(grids) == len(dets)
+        refs = [oracles.ref_independent_density(det, synth_curve, resolution) for det in dets]
+        theta = uniform_grid(*synth_curve.support, resolution)
+        for grid, ref, det in zip(grids, refs, dets):
+            assert grid.density.tobytes() == ref.tobytes()
+            assert grid.theta.tobytes() == theta.tobytes() and grid.resolution == resolution
+            one = calibrate_independent(det, synth_curve, resolution)
+            assert one.density.tobytes() == ref.tobytes()
+        total = np.zeros_like(theta)
+        for ref in refs:
+            total += ref
+        total /= len(dets)
+        total /= total.sum() * resolution
+        assert spd(dets, synth_curve, resolution).density.tobytes() == total.tobytes()
+
+
+def test_independent_grids_refuse_first_no_mass_date_in_order(synth_curve):
+    near = _two_sigma_dets(synth_curve)[:2]
+    far_a, far_b = Determination("far_a", 90_000.0, 33.0), Determination("far_b", 95_000.0, 25.0)
+    dets = [near[0], far_a, near[1], far_b]
+    message = (
+        "determination 'far_a': radiocarbon age 90000 has no likelihood mass "
+        "on the 5 cal yr grid over the curve support [0, 55000]"
+    )
+    grids = independent_grids(dets, synth_curve, 5.0)
+    first = next(grids)
+    assert first.density.tobytes() == oracles.ref_independent_density(near[0], synth_curve, 5.0).tobytes()
+    with pytest.raises(DataError) as got:
+        next(grids)
+    assert str(got.value) == message
+    with pytest.raises(DataError) as alone:
+        calibrate_independent(far_a, synth_curve, 5.0)
+    assert str(alone.value) == message
+    with pytest.raises(DataError) as summed:
+        spd(dets, synth_curve, 5.0)
+    assert str(summed.value) == message
+    with pytest.raises(DataError, match="resolution must be > 0"):
+        next(independent_grids(near, synth_curve, 0.0))
 
 
 def test_read_determinations_unreadable_file_is_data_error(tmp_path):

@@ -400,6 +400,20 @@ def test_simulate_empty_study_is_usage_error(tmp_path, synth_curve_file, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, repeated",
+    [(["--family", "uniform,uniform"], "--family: 'uniform'"), (["--n", "50,50"], "--n: 50")],
+)
+def test_simulate_repeated_item_is_usage_error(tmp_path, synth_curve_file, capsys, extra, repeated):
+    # a repeated item used to pool its runs into one results.csv row, n_runs 2 for --runs 1
+    out = tmp_path / "sim"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--curve", str(synth_curve_file), "--out", str(out), "--runs", "1"] + extra)
+    assert exc.value.code == 1
+    assert f"argument {repeated} is given more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", ["calibrate", "spd", "dpmm"])
 def test_non_finite_curve_value_is_data_error(
     tmp_path, synth_curve_file, dets_file_multi, capsys, subcommand

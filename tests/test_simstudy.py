@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from carbcal.calibrate import calibrate_independent
 from carbcal.errors import DataError
 from carbcal.simstudy import (
+    FAMILIES,
     FAMILY_BOUNDS,
     SIGMA_OBS,
     flat_curve_flag,
@@ -18,6 +20,7 @@ from carbcal.simstudy import (
     posterior_loss,
     run_study,
 )
+from carbcal.synthetic import sample_determinations
 from conftest import make_flat_curve
 
 
@@ -47,6 +50,25 @@ def test_gen_scenario_single_normal_bounds_and_determinism(synth_curve):
     assert [d.x for d in a.dets] == [d.x for d in b.dets]
     lo, hi = FAMILY_BOUNDS["single_normal"]
     assert a.true_theta.min() >= lo and a.true_theta.max() <= hi
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gen_scenario_draws_what_numpy_distribution_calls_draw(synth_curve, family):
+    # the reference rejection loop draws with numpy's gamma, normal, dirichlet,
+    # choice and uniform; every scenario and the stream after it must match
+    lo, hi = FAMILY_BOUNDS[family]
+    for seed in range(200):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        scen = gen_scenario(family, 12, synth_curve, rng)
+        while True:
+            theta, descriptor = oracles.ref_draw_truth(family, 12, ref_rng)
+            if theta.min() >= lo and theta.max() <= hi:
+                break
+        dets = sample_determinations(theta, synth_curve, SIGMA_OBS, ref_rng, prefix="sim")
+        assert scen.true_theta.tobytes() == theta.tobytes()
+        assert scen.truth_descriptor == descriptor
+        assert scen.dets == dets
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_gen_scenario_rejects_unknown_family(synth_curve):
