@@ -341,24 +341,14 @@ def hpd_intervals(grid: DensityGrid, level: float) -> list[tuple[float, float, f
     cell_mass = grid.density * grid.resolution
     order = np.argsort(-grid.density, kind="stable")
     cum = np.cumsum(cell_mass[order])
-    n_keep = int(np.searchsorted(cum, level, side="left")) + 1
-    n_keep = min(n_keep, len(cum))
+    n_keep = min(int(np.searchsorted(cum, level, side="left")) + 1, len(cum))
     keep = np.zeros(len(cum), dtype=bool)
     keep[order[:n_keep]] = True
-
-    intervals = []
     idx = np.flatnonzero(keep)
-    start = idx[0]
-    prev = idx[0]
-    for i in idx[1:]:
-        if i != prev + 1:
-            intervals.append((start, prev))
-            start = i
-        prev = i
-    intervals.append((start, prev))
+    runs = [(r[0], r[-1]) for r in np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)]
     return [
         (float(grid.theta[a]), float(grid.theta[b]), float(cell_mass[a : b + 1].sum()))
-        for a, b in intervals
+        for a, b in runs
     ]
 
 

@@ -14,11 +14,14 @@ label is drawn given all the others.  One ``polya_reallocate`` call makes
 that pass over every date, keeping the counts and per-cluster log terms up
 to date as labels move instead of rebuilding them for each date.
 
-``run_chains`` advances independent chains in lockstep: one age update per
-sweep slice-samples the dates of every chain of a batch, each chain's dates
-drawing from that chain's own generator, and every other step runs per
-chain.  A chain's draws are therefore the same in any batch, and
-``run_chain`` is the batch of one.
+``run_chains`` advances independent chains in lockstep: a batch's chains
+share one run length and one step cap, their ages live in one array, and one
+age update per sweep slice-samples it, each chain's dates drawing from that
+chain's own generator; every other step runs per chain.  A chain's draws are
+therefore the same in any batch, and ``run_chain`` is the batch of one.
+
+Gamma draws are floored at the smallest normal float: a draw of shape far
+below one, as from a vague prior, would otherwise underflow to zero.
 """
 
 from __future__ import annotations
@@ -51,7 +54,10 @@ SAMPLERS = ("polya", "walker")
 
 @dataclass
 class DpmmState:
-    """Full sampler state; mutated in place by the update operations."""
+    """Full sampler state; mutated in place by the update operations.
+
+    In a lockstep batch ``theta`` is a view of the batch's ages: never rebind it.
+    """
 
     theta: np.ndarray   # (n,) calendar ages
     c: np.ndarray       # (n,) cluster labels into the arrays below
@@ -210,7 +216,7 @@ class PosteriorSamples:
 
 def _draw_normal_gamma(mu0, lam, nu1, nu2, rng):
     """Draw (phi, tau) with tau ~ Gamma(nu1, rate nu2), phi|tau normal."""
-    tau = (1.0 / nu2) * rng.standard_gamma(nu1)
+    tau = max((1.0 / nu2) * rng.standard_gamma(nu1), np.finfo(float).tiny)
     phi = mu0 + (1.0 / np.sqrt(lam * tau)) * rng.standard_normal()
     return phi, tau
 
@@ -227,19 +233,15 @@ def _base_marginal_terms(hyper: Hyperparameters):
     return df, scale2, log_norm, 0.5 * (df + 1.0)
 
 
-def _log_base_marginal(theta, mu_phi: float, hyper: Hyperparameters):
-    """Log density of theta with the cluster parameters integrated out."""
-    df, scale2, log_norm, expo = _base_marginal_terms(hyper)
-    return log_norm - expo * np.log1p((theta - mu_phi) ** 2 / scale2 / df)
-
-
 def base_marginal(theta, mu_phi: float, hyper: Hyperparameters):
     """Prior predictive density of a calendar age from a brand-new cluster.
 
     A scaled Student-t: 2*nu1 degrees of freedom, located at the overall
     centring, scale sqrt(nu2*(lam+1)/(nu1*lam)).
     """
-    return np.exp(_log_base_marginal(np.asarray(theta, dtype=float), mu_phi, hyper))
+    df, scale2, log_norm, expo = _base_marginal_terms(hyper)
+    theta = np.asarray(theta, dtype=float)
+    return np.exp(log_norm - expo * np.log1p((theta - mu_phi) ** 2 / scale2 / df))
 
 
 def _draw_cluster_params(counts, sums, sqsums, mu_phi: float, hyper: Hyperparameters, rng):
@@ -250,7 +252,7 @@ def _draw_cluster_params(counts, sums, sqsums, mu_phi: float, hyper: Hyperparame
     mu_n = (hyper.lam * mu_phi + sums) / lam_n
     nu1_n = hyper.nu1 + 0.5 * counts
     nu2_n = hyper.nu2 + 0.5 * ss + hyper.lam * counts * (mean - mu_phi) ** 2 / (2.0 * lam_n)
-    tau = (1.0 / nu2_n) * rng.standard_gamma(nu1_n)
+    tau = np.maximum((1.0 / nu2_n) * rng.standard_gamma(nu1_n), np.finfo(float).tiny)
     phi = mu_n + (1.0 / np.sqrt(lam_n * tau)) * rng.standard_normal(np.shape(tau) or None)
     return phi, tau
 
@@ -283,7 +285,7 @@ def init_state(
     c = np.arange(n, dtype=np.int64) % hyper.n_init_clusters
     k = min(n, hyper.n_init_clusters)  # round robin leaves no label unused
 
-    alpha = float(rng.gamma(hyper.eta1, 1.0 / hyper.eta2))
+    alpha = float(max(rng.gamma(hyper.eta1, 1.0 / hyper.eta2), np.finfo(float).tiny))
     state = DpmmState(
         theta=theta,
         c=c,
@@ -303,20 +305,19 @@ def init_state(
 # step 1: calendar ages
 
 
-def update_theta(states, rngs, x, var_obs, curve: CalibrationCurve, slice_cfg: SliceConfig):
+def update_theta(states, rngs, theta, x, var_obs, curve: CalibrationCurve, slice_cfg: SliceConfig):
     """Slice-sample every calendar age of ``states`` from its conditional, all at once.
 
     Given the cluster parameters the ages are independent, each with log
     density: curve likelihood of its measurement ``x`` (variance ``var_obs``
     plus the curve variance) times its cluster's normal prior, additive
     constants dropped.  ``states`` are chain states advanced together and
-    ``rngs`` their generators, one per state; ``x``, ``var_obs`` and any
-    per-coordinate widths of ``slice_cfg`` run over the states' dates in
-    order.  Each state's generator serves its own dates only, so each chain
-    draws what it would alone.  The states' ages are updated in place.
+    ``rngs`` their generators, one per state; ``theta`` holds the states'
+    ages in order, each ``state.theta`` a view of it, and ``x``, ``var_obs``
+    and any per-coordinate widths of ``slice_cfg`` run over the same dates.
+    Each state's generator serves its own dates only, so each chain draws
+    what it would alone.  ``theta`` is updated in place.
     """
-    blocks = [len(s.theta) for s in states]
-    theta = np.concatenate([s.theta for s in states])
     phi = np.concatenate([s.phi[s.c] for s in states])
     half_tau = 0.5 * np.concatenate([s.tau[s.c] for s in states])
     interp = curve.interp
@@ -328,11 +329,7 @@ def update_theta(states, rngs, x, var_obs, curve: CalibrationCurve, slice_cfg: S
         dev = theta - phi[index]
         return log_likelihood(x[index], both.real, var, np.log(var)) - half_tau[index] * dev * dev
 
-    new = slice_sample_array(log_post, theta, slice_cfg, rngs, blocks)
-    start = 0
-    for s, size in zip(states, blocks):
-        s.theta[:] = new[start : start + size]
-        start += size
+    theta[:] = slice_sample_array(log_post, theta, slice_cfg, rngs, [len(s.theta) for s in states])
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +641,6 @@ class _Chain:
         self.dets = dets
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
-        self.x = np.array([d.x for d in dets])
-        self.var_obs = np.array([d.sigma * d.sigma for d in dets])
         self.state = init_state(dets, curve, cfg.hyper, self.rng, cfg.sampler, theta_map)
         self.stored_theta = np.empty((cfg.n_stored, len(dets)))
         self.snapshots: list[ClusterSample] = []
@@ -690,28 +685,26 @@ class _Chain:
 def _run_batch(jobs, curve: CalibrationCurve) -> list[PosteriorSamples]:
     """Advance the chains of ``jobs`` in lockstep: one age update for all per sweep.
 
-    The chains share one step cap (``run_chains`` batches them so); their
-    widths may differ.  A chain stops after its own ``n_iter`` sweeps; the
-    others go on.
+    The chains share one run length and one step cap (``run_chains`` batches
+    them so); their widths may differ.  Their ages live in one array, of
+    which each chain's ``state.theta`` is a view.
     """
     chains = [_Chain(dets, curve, cfg, theta_map) for dets, cfg, theta_map in jobs]
-    first = 1
-    for end in sorted({ch.cfg.n_iter for ch in chains}):
-        live = [ch for ch in chains if ch.cfg.n_iter >= end]
-        widths = [ch.cfg.hyper.slice_width for ch in live]
-        if len(set(widths)) > 1:
-            width = np.repeat(widths, [len(ch.x) for ch in live])
-        else:
-            width = widths[0]
-        slice_cfg = SliceConfig(width, live[0].cfg.hyper.slice_max_steps, curve.support)
-        states, rngs = [ch.state for ch in live], [ch.rng for ch in live]
-        x = np.concatenate([ch.x for ch in live])
-        var_obs = np.concatenate([ch.var_obs for ch in live])
-        for it in range(first, end + 1):
-            update_theta(states, rngs, x, var_obs, curve, slice_cfg)
-            for ch in live:
-                ch.finish_sweep(it)
-        first = end + 1
+    states, rngs = [ch.state for ch in chains], [ch.rng for ch in chains]
+    sizes = [len(ch.dets) for ch in chains]
+    x = np.array([d.x for ch in chains for d in ch.dets])
+    var_obs = np.array([d.sigma * d.sigma for ch in chains for d in ch.dets])
+    widths = [ch.cfg.hyper.slice_width for ch in chains]
+    width = np.repeat(widths, sizes) if len(set(widths)) > 1 else widths[0]
+    cfg = chains[0].cfg
+    slice_cfg = SliceConfig(width, cfg.hyper.slice_max_steps, curve.support)
+    theta = np.concatenate([s.theta for s in states])
+    for s, view in zip(states, np.split(theta, np.cumsum(sizes)[:-1])):
+        s.theta = view
+    for it in range(1, cfg.n_iter + 1):
+        update_theta(states, rngs, theta, x, var_obs, curve, slice_cfg)
+        for ch in chains:
+            ch.finish_sweep(it)
     return [ch.samples(curve) for ch in chains]
 
 
@@ -720,25 +713,26 @@ def run_chains(jobs, curve: CalibrationCurve):
 
     ``jobs`` is a sequence of ``(dets, cfg, theta_map)``, one per chain,
     with ``theta_map`` as for :func:`run_chain` (``None`` to compute it).
-    Consecutive chains with the same ``slice_max_steps`` are grouped into
-    batches of at most ``BATCH_DATES`` dates (a larger chain runs alone);
-    the chains of a batch share each sweep's age update, and every other
-    step runs per chain.  Each chain
-    draws from its own ``np.random.default_rng(cfg.seed)`` exactly what it
-    draws when run alone, so its samples do not depend on its batch.
+    Consecutive chains with the same ``n_iter`` and ``slice_max_steps`` are
+    grouped into batches of at most ``BATCH_DATES`` dates (a larger chain
+    runs alone); the chains of a batch share each sweep's age update, and
+    every other step runs per chain.  Each chain draws from its own
+    ``np.random.default_rng(cfg.seed)`` exactly what it draws when run
+    alone, so its samples do not depend on its batch.
 
     Yields each chain's :class:`PosteriorSamples`, in the order of
     ``jobs``, one batch at a time.
     """
     batch, dates = [], 0
     for job in jobs:
-        n = len(job[0])
-        steps = job[1].hyper.slice_max_steps
-        if batch and (dates + n > BATCH_DATES or steps != batch[0][1].hyper.slice_max_steps):
+        n, cfg = len(job[0]), job[1]
+        shape = (cfg.n_iter, cfg.hyper.slice_max_steps)
+        if batch and (dates + n > BATCH_DATES or shape != batch_shape):
             yield from _run_batch(batch, curve)
             batch, dates = [], 0
         batch.append(job)
         dates += n
+        batch_shape = shape
     if batch:
         yield from _run_batch(batch, curve)
 

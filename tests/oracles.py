@@ -340,3 +340,36 @@ def ref_independent_density(det, curve, resolution):
     resid = det.x - m
     density = np.exp(-0.5 * (resid * resid / var + np.log(var)) - 0.5 * math.log(2.0 * math.pi))
     return density / (density.sum() * resolution)
+
+
+def ref_hpd_intervals(grid, level):
+    """Reference HPD intervals of a normalised density grid, run by run in a loop.
+
+    The cell-mask walk as it stood before the package found all runs in one
+    pass: cells join in descending-density order (stable, so ties go to the
+    smaller age) until their mass reaches ``level``, and each run of
+    contiguous kept cells is one ``(lo, hi, mass)`` interval.  The package's
+    intervals must equal these exactly.
+    """
+    cell_mass = grid.density * grid.resolution
+    order = np.argsort(-grid.density, kind="stable")
+    cum = np.cumsum(cell_mass[order])
+    n_keep = int(np.searchsorted(cum, level, side="left")) + 1
+    n_keep = min(n_keep, len(cum))
+    keep = np.zeros(len(cum), dtype=bool)
+    keep[order[:n_keep]] = True
+
+    intervals = []
+    idx = np.flatnonzero(keep)
+    start = idx[0]
+    prev = idx[0]
+    for i in idx[1:]:
+        if i != prev + 1:
+            intervals.append((start, prev))
+            start = i
+        prev = i
+    intervals.append((start, prev))
+    return [
+        (float(grid.theta[a]), float(grid.theta[b]), float(cell_mass[a : b + 1].sum()))
+        for a, b in intervals
+    ]

@@ -228,6 +228,23 @@ def test_hpd_matches_brute_force_oracle_bit_identical(synth_curve):
             assert m1 == pytest.approx(m2, abs=1e-12)
 
 
+def test_hpd_matches_the_run_by_run_reference_on_random_grids():
+    # Small integer densities give ties, zero cells and one-cell runs.
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        n_cells = int(rng.integers(1, 60))
+        if rng.random() < 0.5:
+            density = rng.integers(0, 4, size=n_cells).astype(float)
+        else:
+            density = rng.gamma(0.5, 1.0, size=n_cells) * (rng.random(n_cells) < 0.7)
+        density[rng.integers(n_cells)] += 1.0
+        res = float(rng.choice([0.5, 1.0, 5.0]))
+        density /= density.sum() * res
+        grid = DensityGrid(100.0 + res * np.arange(n_cells), density, res)
+        level = float(rng.uniform(0.01, 0.99))
+        assert repr(hpd_intervals(grid, level)) == repr(oracles.ref_hpd_intervals(grid, level))
+
+
 def test_spd_single_det_equals_independent(synth_curve):
     det = Determination("a", 3010.0, 30.0)
     single = calibrate_independent(det, synth_curve, 5.0)

@@ -3,6 +3,7 @@ import filecmp
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -668,6 +669,26 @@ def test_calibrate_bundled_dates_at_coarse_resolution(tmp_path):
     assert len(list(out.glob("*_posterior.csv"))) == len(dets) == 100
     grid = calibrate_independent(dets[-1], load_curve(SITE_CURVE), 10.0)
     assert (out / f"{dets[-1].id}_posterior.csv").read_bytes() == write_csv_bytes(tmp_path, grid)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--iters", "100", "--hyper", "eta1=0.001", "--hyper", "eta2=0.001", "--seed", "2"],
+        ["--iters", "300", "--hyper", "nu1=0.005", "--seed", "1"],
+    ],
+)
+def test_dpmm_vague_gamma_priors_write_finite_outputs(tmp_path, extra):
+    # A gamma draw of shape far below one underflowed to zero: a zero starting
+    # concentration crashed the stick draws, and a zero precision put a
+    # cluster mean at infinity.
+    out = tmp_path / "run"
+    args = ["dpmm", SITE, "--curve", SITE_CURVE, "--out", str(out), "--thin", "1"]
+    assert main(args + extra) == 0
+    non_finite = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+    for path in out.rglob("*"):
+        if path.is_file():
+            assert not non_finite.search(path.read_text()), path.name
 
 
 @pytest.mark.parametrize("sampler", ["walker", "polya"])

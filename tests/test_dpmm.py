@@ -19,6 +19,7 @@ from carbcal.dpmm import (
     ChainConfig,
     DpmmState,
     PosteriorSamples,
+    _draw_cluster_params,
     _extend_sticks,
     _trim_tail_sticks,
     _update_alpha_walker,
@@ -65,7 +66,7 @@ def observations(*dets):
 def age_step(state, x, var_obs, curve, hyper, rng):
     """One age update of one chain; returns its ages."""
     cfg = SliceConfig(hyper.slice_width, hyper.slice_max_steps, curve.support)
-    update_theta([state], [rng], x, var_obs, curve, cfg)
+    update_theta([state], [rng], state.theta, x, var_obs, curve, cfg)
     return state.theta
 
 
@@ -827,10 +828,15 @@ def test_batch_of_one_keeps_the_one_chain_draws(synth_curve, sampler):
     assert_same_chain(alone, run_chain(dets, synth_curve, cfg))
 
 
-def test_run_chains_gives_each_chain_its_own_run(synth_curve, monkeypatch):
-    # Mixed samplers, different dates and sizes, different hyperparameters
-    # (slice widths included) and run lengths in one batch; a change of step
-    # cap starts a new batch.
+@pytest.mark.parametrize(
+    "n_iters, expected",
+    [([50, 50, 50, 50], [2, 2]), ([40, 50, 60, 70], [1, 1, 1, 1])],
+    ids=["one-run-length", "four-run-lengths"],
+)
+def test_run_chains_gives_each_chain_its_own_run(synth_curve, monkeypatch, n_iters, expected):
+    # Mixed samplers, different dates and sizes and different hyperparameters
+    # (slice widths included) in one batch; a change of run length or of
+    # step cap starts a new batch.
     import carbcal.dpmm as dpmm
 
     jobs = []
@@ -844,7 +850,7 @@ def test_run_chains_gives_each_chain_its_own_run(synth_curve, monkeypatch):
         hyper = default_hyperparameters(dets, synth_curve, theta_map=theta_map)
         hyper = replace(hyper, slice_width=hyper.slice_width * (1 + 0.5 * k), slice_max_steps=3 + 4 * (k // 2))
         cfg = ChainConfig(
-            n_iter=40 + 10 * k, n_burn=10, thin=3, sampler=sampler, seed=7 + k, hyper=hyper
+            n_iter=n_iters[k], n_burn=10, thin=3, sampler=sampler, seed=7 + k, hyper=hyper
         )
         jobs.append((dets, cfg, theta_map if k % 2 else None))
     batches = []
@@ -856,7 +862,7 @@ def test_run_chains_gives_each_chain_its_own_run(synth_curve, monkeypatch):
 
     monkeypatch.setattr(dpmm, "_run_batch", counting)
     together = list(run_chains(jobs, synth_curve))
-    assert batches == [2, 2]
+    assert batches == expected
     assert len(together) == len(jobs)
     for (dets, cfg, theta_map), samples in zip(jobs, together):
         assert_same_chain(samples, run_chain(dets, synth_curve, cfg, theta_map))
@@ -893,6 +899,17 @@ def test_run_chains_refuses_a_start_with_no_finite_density(synth_curve):
     bad[3] = np.nan  # no finite density
     with pytest.raises(ValueError, match="not finite"):
         list(run_chains([(dets, cfg, good), (dets, cfg, bad)], synth_curve))
+
+
+def test_vague_precision_draws_stay_positive_and_finite():
+    # numpy's gamma of shape 1e-3 underflows to exactly zero on about half its
+    # draws; a zero precision gave an infinite cluster mean.
+    hyper = simple_hyper(nu1=1e-3, nu2=1e-3)
+    rng = np.random.default_rng(0)
+    counts = np.zeros(2000)
+    phi, tau = _draw_cluster_params(counts, counts, counts, 500.0, hyper, rng)
+    assert np.all(tau >= np.finfo(float).tiny)
+    assert np.all(np.isfinite(phi))
 
 
 def test_cheap_draw_forms_match_gamma_and_normal():
