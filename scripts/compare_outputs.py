@@ -6,9 +6,12 @@ Runs one fixed-seed command set with each tree's ``src/`` on its own
 ``PYTHONPATH``, the data files taken from that tree's ``data/``:
 ``calibrate`` and ``spd`` on the bundled dates, ``dpmm`` with each sampler
 and with one and three chains, and ``simulate`` of all three scenario
-families on one and on two worker processes.  Every output file except
-``manifest.json`` (which records its output directory and input paths) must
-be byte-identical between the trees.
+families on one and on two worker processes.  The bundled dates all have
+sigma 25, so ``calibrate``, ``spd`` and one walker ``dpmm`` run again on a
+copy of them, written beside the tree's outputs, whose sigmas cycle through
+six values: more than the curve pass keeps variance terms for.  Every output
+file except ``manifest.json`` (which records its output directory and input
+paths) must be byte-identical between the trees.
 Prints each difference and exits 1 if there is any, 0 otherwise.  For a file
 that differs it also prints how many of its cells differ (the text between
 commas, white space and JSON brackets) and the largest relative difference
@@ -19,6 +22,7 @@ so it runs against any checkout.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import os
 import re
@@ -29,6 +33,9 @@ from pathlib import Path
 
 SITE = "data/example_three_phase.csv"
 CURVE = "data/synthetic_curve.14c"
+#: Stands for the path of the mixed-sigma copy of ``SITE`` in ``COMMANDS``.
+MIXED = "<mixed-sigma copy>"
+MIXED_SIGMAS = ("17.5", "20", "25", "30", "40", "80")
 
 #: (name, arguments): the ``--out`` directory is added per tree.
 COMMANDS = [
@@ -52,16 +59,38 @@ COMMANDS = [
         )
         for jobs in (1, 2)
     ],
+    ("calibrate-mixed-sigma", ["calibrate", MIXED, "--curve", CURVE]),
+    ("spd-mixed-sigma", ["spd", MIXED, "--curve", CURVE]),
+    (
+        "dpmm-walker-mixed-sigma",
+        ["dpmm", MIXED, "--curve", CURVE, "--sampler", "walker",
+         "--iters", "200", "--burn", "100", "--thin", "2", "--seed", "17"],
+    ),
 ]
 
 IGNORED = {"manifest.json"}
 
 
+def write_mixed_sigma(site: Path, path: Path) -> None:
+    """Copy the determinations file ``site`` to ``path``, its sigmas cycling through ``MIXED_SIGMAS``."""
+    with open(site, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [row[0], row[1], MIXED_SIGMAS[k % len(MIXED_SIGMAS)]] for k, row in enumerate(rows)
+        )
+
+
 def run_tree(tree: Path, out_root: Path) -> list[str]:
     """Run every command with ``tree``'s sources; returns the failures."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    mixed = out_root.with_name(f"{out_root.name}-mixed-sigma.csv")
+    write_mixed_sigma(tree / SITE, mixed)
     failures = []
     for name, args in COMMANDS:
+        args = [str(mixed) if arg == MIXED else arg for arg in args]
         argv = [sys.executable, "-m", "carbcal.cli", *args, "--out", str(out_root / name)]
         done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
         if done.returncode != 0:
@@ -129,6 +158,7 @@ def main(argv=None) -> int:
     parser.add_argument("--work", type=Path, help="directory for the outputs (default: a temporary one)")
     args = parser.parse_args(argv)
     work = args.work or Path(tempfile.mkdtemp(prefix="carbcal-compare-"))
+    work.mkdir(parents=True, exist_ok=True)
     out_a, out_b = work / "a", work / "b"
     for out in (out_a, out_b):
         if out.exists() and any(out.iterdir()):

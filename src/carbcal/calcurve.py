@@ -110,9 +110,9 @@ def load_curve(path) -> CalibrationCurve:
     """Load and validate a calibration curve file.
 
     Returns a curve sorted ascending in calendar age; descending input files
-    (the IntCal convention) are reversed.  Parse failures, and the failures
-    of :class:`CalibrationCurve`'s checks, raise :class:`CurveFormatError`
-    naming the offending line.
+    (the IntCal convention) are reversed.  A leading UTF-8 byte-order mark is
+    skipped.  Parse failures, and the failures of :class:`CalibrationCurve`'s
+    checks, raise :class:`CurveFormatError` naming the offending line.
     """
     rows = []
     lines = []
@@ -122,7 +122,8 @@ def load_curve(path) -> CalibrationCurve:
         raise CurveFormatError(f"cannot read curve file: {exc.strerror}", path=path) from None
     with fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            # a UTF-8 byte-order mark, as spreadsheet programs write, read as latin-1
+            line = (raw.removeprefix("\xef\xbb\xbf") if lineno == 1 else raw).strip()
             if not line or line.startswith("#"):
                 continue
             # Only the first three columns are read; float() strips whitespace.

@@ -240,15 +240,27 @@ def date_variance(rho2, sigma):
     return var, np.log(var)
 
 
+def _log_likelihoods(dets, curve: CalibrationCurve, theta):
+    """Yield the ``log_likelihood`` of each date of ``dets`` at the ages ``theta``, in order.
+
+    One pass over the curve serves every date: its mean and sd at ``theta``
+    are taken once, and the variance terms once per sigma (those of the four
+    sigmas used last are kept, so with more distinct sigmas interleaved some
+    are made again).
+    """
+    m, rho = curve.at(theta)
+    variance = functools.lru_cache(maxsize=4)(functools.partial(date_variance, rho * rho))
+    for det in dets:
+        yield log_likelihood(det.x, m, *variance(det.sigma))
+
+
 def likelihood(det: Determination, curve: CalibrationCurve, theta):
     """Measurement density of ``det.x`` at calendar age(s) theta.
 
     Normal density with mean m(theta) and variance rho(theta)^2 + sigma^2,
     i.e. the observation model marginalised over curve uncertainty.
     """
-    m, rho = curve.at(theta)
-    var, log_var = date_variance(rho * rho, det.sigma)
-    return np.exp(log_likelihood(det.x, m, var, log_var) - 0.5 * LOG_2PI)
+    return np.exp(next(_log_likelihoods([det], curve, theta)) - 0.5 * LOG_2PI)
 
 
 def normal_mixture_density(theta, weights, means, sds):
@@ -284,10 +296,8 @@ def _require_mass(
 def independent_grids(dets, curve: CalibrationCurve, resolution: float):
     """Yield the posterior grid of each date of ``dets`` under a flat prior, in order.
 
-    One pass over the curve serves every date: the grid and the curve's mean
-    and sd on it are made once, and the variance terms once per sigma (those
-    of the four sigmas used last are kept, so with more distinct sigmas
-    interleaved some are made again).  A date with no likelihood mass on the
+    The grid is made once and one pass over the curve serves every date
+    (see :func:`_log_likelihoods`).  A date with no likelihood mass on the
     grid raises ``DataError`` when its turn comes.  A generator, so that a
     caller holds one date's grid at a time: a list of them would take 88 kB
     per date at 11,001 grid points.
@@ -295,11 +305,9 @@ def independent_grids(dets, curve: CalibrationCurve, resolution: float):
     if not resolution > 0:
         raise DataError("resolution must be > 0")
     theta = uniform_grid(*curve.support, resolution)
-    m, rho = curve.at(theta)
-    variance = functools.lru_cache(maxsize=4)(functools.partial(date_variance, rho * rho))
-    for det in dets:
-        var, log_var = variance(det.sigma)
-        density = np.exp(log_likelihood(det.x, m, var, log_var) - 0.5 * LOG_2PI)
+    for det, density in zip(dets, _log_likelihoods(dets, curve, theta)):
+        density -= 0.5 * LOG_2PI
+        np.exp(density, out=density)
         total = density.sum()
         _require_mass(det, curve, total, resolution)
         yield DensityGrid(theta, density / (total * resolution), resolution)
@@ -369,30 +377,18 @@ def map_estimates(dets, curve: CalibrationCurve, coarse_resolution: float = COAR
     Ties are broken toward the smallest calendar age (first grid argmax).  A
     date whose likelihood underflows to zero all over the grid raises the
     ``DataError`` that :func:`calibrate_independent` raises for it at
-    ``coarse_resolution`` (the first such date in input order).  The
-    variance terms are computed once per distinct sigma; dates are scanned
-    one at a time, since one (dates x grid) array expression was slower for
-    its memory traffic.
+    ``coarse_resolution`` (the first such date in input order).  Dates are
+    scanned one at a time by :func:`_log_likelihoods`, since one (dates x
+    grid) array expression was slower for its memory traffic.
     """
     if not coarse_resolution > 0:
         raise DataError("coarse_resolution must be > 0")
     theta = uniform_grid(*curve.support, coarse_resolution)
-    m, rho = curve.at(theta)
-    rho2 = rho * rho
-    by_sigma: dict[float, list[int]] = {}
-    for k, det in enumerate(dets):
-        by_sigma.setdefault(det.sigma, []).append(k)
     out = np.empty(len(dets))
-    peak = np.empty(len(dets))
-    for sigma, members in by_sigma.items():
-        var, log_var = date_variance(rho2, sigma)
-        for k in members:
-            loglik = log_likelihood(dets[k].x, m, var, log_var)
-            best = int(np.argmax(loglik))
-            peak[k] = loglik[best]
-            out[k] = theta[best]
-    for det, p in zip(dets, peak.tolist()):
-        _require_mass(det, curve, math.exp(p), coarse_resolution)
+    for k, (det, loglik) in enumerate(zip(dets, _log_likelihoods(dets, curve, theta))):
+        best = int(np.argmax(loglik))
+        _require_mass(det, curve, math.exp(loglik[best]), coarse_resolution)
+        out[k] = theta[best]
     return out
 
 

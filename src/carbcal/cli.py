@@ -341,10 +341,8 @@ def _cmd_simulate(args, parser) -> int:
     from carbcal import simstudy
 
     curve = _require_curve(args, parser)
-    families = [f.strip() for f in args.family.split(",") if f.strip()]
-    if not families:
-        parser.error("--family names no family")
-    for family in families:
+    families = [f.strip() for f in args.family.split(",")]
+    for family in families:  # an empty item is refused here, as --n refuses one
         if family not in simstudy.FAMILIES:
             parser.error(
                 f"invalid family {family!r}; valid families: {', '.join(simstudy.FAMILIES)}"

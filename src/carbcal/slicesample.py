@@ -4,7 +4,8 @@ One transition draws an auxiliary level below the current log density,
 expands an initial interval in width-sized steps until both ends leave the
 slice (or a step/bound limit is hit), then samples uniformly inside,
 shrinking on rejections.  Non-finite log densities at proposals are treated
-as "outside the slice", never as errors.
+as "outside the slice", never as errors: a NaN compares False with the level.
+A variable is unbounded unless its configuration gives bounds.
 
 ``slice_sample`` advances one chain; ``slice_sample_array`` advances many
 independent chains (one per coordinate of a vector) by the same kernel, with
@@ -27,8 +28,8 @@ class SliceConfig:
 
     width: initial interval width (same units as the variable).
     max_steps: cap on stepping-out expansions per side.
-    bounds: optional hard support (lo, hi); the interval is truncated there
-    and no point outside is ever returned.
+    bounds: hard support (lo, hi), unbounded by default; the interval is
+    truncated there and no point outside is ever returned.
 
     For ``slice_sample_array``, ``width`` may also be an array with one
     entry per coordinate.
@@ -36,60 +37,15 @@ class SliceConfig:
 
     width: float | np.ndarray
     max_steps: int = 20
-    bounds: tuple[float, float] | None = None
+    bounds: tuple[float, float] = (-math.inf, math.inf)
 
     def __post_init__(self):
         if not np.all(np.asarray(self.width) > 0):
             raise ValueError("slice width must be > 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.bounds is not None and not self.bounds[0] < self.bounds[1]:
+        if not self.bounds[0] < self.bounds[1]:
             raise ValueError("bounds must satisfy lo < hi")
-
-
-def _finite_or_neg_inf(value) -> float:
-    value = float(value)
-    return value if value == value else -math.inf  # NaN -> outside slice
-
-
-def _slice_step(log_density, current: float, cfg: SliceConfig, rng) -> tuple[float, float]:
-    """One transition; returns (new_point, log_slice_level)."""
-    lp0 = float(log_density(current))
-    if not math.isfinite(lp0):
-        raise ValueError(f"log density not finite at starting point {current!r}")
-    lo, hi = cfg.bounds if cfg.bounds is not None else (-math.inf, math.inf)
-    if not lo <= current <= hi:
-        # an interval clipped to the bounds would not hold the start: shrinkage would never end
-        raise ValueError(f"starting point {float(current)!r} outside bounds {cfg.bounds}")
-    z = lp0 - rng.standard_exponential()
-
-    width = cfg.width
-    left = current - width * rng.random()
-    right = left + width
-    left = max(left, lo)
-    right = min(right, hi)
-
-    steps = cfg.max_steps
-    while steps > 0 and left > lo and _finite_or_neg_inf(log_density(left)) > z:
-        left = max(left - width, lo)
-        steps -= 1
-    steps = cfg.max_steps
-    while steps > 0 and right < hi and _finite_or_neg_inf(log_density(right)) > z:
-        right = min(right + width, hi)
-        steps -= 1
-
-    while True:
-        proposal = left + rng.random() * (right - left)
-        if _finite_or_neg_inf(log_density(proposal)) > z:
-            return proposal, z
-        if proposal < current:
-            left = proposal
-        elif proposal > current:
-            right = proposal
-        else:
-            # Interval shrank onto the current point, which is on the slice
-            # by construction; can only happen through fp underflow.
-            return current, z
 
 
 def slice_sample(log_density, current: float, cfg: SliceConfig, rng) -> float:
@@ -108,8 +64,42 @@ def slice_sample(log_density, current: float, cfg: SliceConfig, rng) -> float:
     ``log_density(new) > z`` for the auxiliary level ``z`` drawn internally,
     and always lies within ``cfg.bounds``.
     """
-    new, _ = _slice_step(log_density, current, cfg, rng)
-    return new
+    lp0 = float(log_density(current))
+    if not math.isfinite(lp0):
+        raise ValueError(f"log density not finite at starting point {current!r}")
+    lo, hi = cfg.bounds
+    if not lo <= current <= hi:
+        # an interval clipped to the bounds would not hold the start: shrinkage would never end
+        raise ValueError(f"starting point {float(current)!r} outside bounds {cfg.bounds}")
+    z = lp0 - rng.standard_exponential()
+
+    width = cfg.width
+    left = current - width * rng.random()
+    right = left + width
+    left = max(left, lo)
+    right = min(right, hi)
+
+    steps = cfg.max_steps
+    while steps > 0 and left > lo and log_density(left) > z:
+        left = max(left - width, lo)
+        steps -= 1
+    steps = cfg.max_steps
+    while steps > 0 and right < hi and log_density(right) > z:
+        right = min(right + width, hi)
+        steps -= 1
+
+    while True:
+        proposal = left + rng.random() * (right - left)
+        if log_density(proposal) > z:
+            return proposal
+        if proposal < current:
+            left = proposal
+        elif proposal > current:
+            right = proposal
+        else:
+            # Interval shrank onto the current point, which is on the slice
+            # by construction; can only happen through fp underflow.
+            return current
 
 
 def _block_uniforms(rngs, stops, active) -> np.ndarray:
@@ -171,8 +161,8 @@ def slice_sample_array(log_density, current, cfg: SliceConfig, rng, blocks=None)
     if not np.all(np.isfinite(lp0)):
         bad = int(np.argmin(np.isfinite(lp0)))
         raise ValueError(f"log density not finite at starting point {float(current[bad])!r}")
-    lo, hi = cfg.bounds if cfg.bounds is not None else (-math.inf, math.inf)
-    if cfg.bounds is not None and n and not lo <= current.min() <= current.max() <= hi:
+    lo, hi = cfg.bounds
+    if n and not lo <= current.min() <= current.max() <= hi:
         # an interval clipped to the bounds would not hold its start: shrinkage would never end
         bad = float(current[~((lo <= current) & (current <= hi))][0])
         raise ValueError(f"starting point {bad!r} outside bounds {cfg.bounds}")

@@ -326,6 +326,18 @@ def ref_draw_truth(family, n, rng):
     return theta, {"start": float(start), "length": float(length)}
 
 
+def ref_likelihood(det, curve, theta):
+    """Reference measurement density of one date at calendar age(s) ``theta``.
+
+    The formula as it stood before the grids, the MAP ages and the likelihood
+    shared one curve pass.  The package's likelihood must equal it bit for bit.
+    """
+    m, rho = curve.at(theta)
+    var = rho * rho + det.sigma * det.sigma
+    resid = det.x - m
+    return np.exp(-0.5 * (resid * resid / var + np.log(var)) - 0.5 * math.log(2.0 * math.pi))
+
+
 def ref_independent_density(det, curve, resolution):
     """Reference posterior grid density of one date under a flat prior, one date per call.
 

@@ -32,7 +32,7 @@ from carbcal.dpmm import (
     ChainConfig,
     DpmmState,
     log_alpha_likelihood,
-    run_chain,
+    run_chains,
     update_alpha,
     update_cluster_params,
 )
@@ -331,12 +331,13 @@ def three_phase_fixture(reference_curve):
     theta_map = map_estimates(dets, reference_curve)
     grid = default_predictive_grid(reference_curve, theta_map, 5.0)
     out = {"dets": dets, "truth": truth, "hyper": hyper, "grid": grid}
-    for sampler in ("polya", "walker"):
-        cfg = ChainConfig(
-            n_iter=50_000, n_burn=25_000, thin=5, sampler=sampler, seed=42, hyper=hyper
-        )
-        samples = run_chain(dets, reference_curve, cfg)
-        out[sampler] = {
+    cfgs = [
+        ChainConfig(n_iter=50_000, n_burn=25_000, thin=5, sampler=sampler, seed=42, hyper=hyper)
+        for sampler in ("polya", "walker")
+    ]
+    # one lockstep batch; each chain draws what it draws when run alone
+    for cfg, samples in zip(cfgs, run_chains([(dets, cfg, None) for cfg in cfgs], reference_curve)):
+        out[cfg.sampler] = {
             "samples": samples,
             "pred": predictive_density(samples, hyper, grid),
             "khist": cluster_count_posterior(samples),
@@ -397,16 +398,17 @@ def test_criterion_10_small_instance_exactness():
 
     ok = True
     parts = []
-    for sampler in ("polya", "walker"):
-        cfg = ChainConfig(
-            n_iter=120_000, n_burn=20_000, thin=10, sampler=sampler, seed=5, hyper=hyper
-        )
-        samples = run_chain(dets, curve, cfg)
+    cfgs = [
+        ChainConfig(n_iter=120_000, n_burn=20_000, thin=10, sampler=sampler, seed=5, hyper=hyper)
+        for sampler in ("polya", "walker")
+    ]
+    # one lockstep batch; each chain draws what it draws when run alone
+    for cfg, samples in zip(cfgs, run_chains([(dets, cfg, None) for cfg in cfgs], curve)):
         ks = stats.kstest(
             samples.theta[:, 0], lambda x: np.interp(x, g, cdf, left=0.0, right=1.0)
         ).statistic
         ok = ok and ks < 0.03
-        parts.append(f"{sampler}: KS={ks:.4f}")
+        parts.append(f"{cfg.sampler}: KS={ks:.4f}")
     detail = "; ".join(parts)
     assert record_criterion(10, "small-instance exactness", ok, detail)
 

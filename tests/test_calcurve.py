@@ -1,3 +1,6 @@
+import codecs
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,8 @@ from hypothesis import strategies as st
 
 from carbcal.calcurve import CalibrationCurve, load_curve
 from carbcal.errors import CurveFormatError, CurveRangeError
+
+BUNDLED_CURVE = Path(__file__).resolve().parent.parent / "data" / "synthetic_curve.14c"
 
 
 def write_curve(tmp_path, rows, header="# comment line\n"):
@@ -76,6 +81,23 @@ def test_load_error_text_and_line(tmp_path, body, line, message):
         load_curve(path)
     assert exc.value.line == line
     assert str(exc.value) == f"{path}:{line}: {message}"
+
+
+def test_load_skips_utf8_byte_order_mark(tmp_path):
+    # read as latin-1, the mark stuck to the first comment line, which then did not start with '#'
+    path = tmp_path / "bom.14c"
+    path.write_bytes(codecs.BOM_UTF8 + BUNDLED_CURVE.read_bytes())
+    plain, bom = load_curve(BUNDLED_CURVE), load_curve(path)
+    for name in ("cal_age", "c14_mean", "c14_sd"):
+        assert getattr(bom, name).tobytes() == getattr(plain, name).tobytes()
+
+
+def test_load_error_line_after_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.14c"
+    path.write_bytes(codecs.BOM_UTF8 + b"0,100,5\n10,110,5\nfoo\n")
+    with pytest.raises(CurveFormatError) as exc:
+        load_curve(path)
+    assert str(exc.value) == f"{path}:3: expected at least 3 comma-separated columns, got 1"
 
 
 def test_load_strips_fields_and_ignores_trailing_columns(tmp_path):

@@ -94,6 +94,13 @@ def test_calibrate_independent_normalized(x, sigma, resolution):
     assert abs(grid.mass - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("theta", [3333.3, np.linspace(0.0, 55_000.0, 1001)])
+def test_likelihood_matches_reference_bitwise(synth_curve, theta):
+    for det in _mixed_sigma_dets(synth_curve)[:12]:
+        got, want = likelihood(det, synth_curve, theta), oracles.ref_likelihood(det, synth_curve, theta)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_calibrate_independent_is_renormalized_likelihood():
     curve = make_linear_curve(0, 5_000, sd=20.0)
     det = Determination("a", 2222.0, 30.0)

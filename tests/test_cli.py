@@ -401,6 +401,18 @@ def test_simulate_empty_study_is_usage_error(tmp_path, synth_curve_file, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family", ["uniform,", "uniform,,three_normal"])
+def test_simulate_empty_family_item_is_usage_error(tmp_path, synth_curve_file, capsys, family):
+    # such an item used to be dropped, where an empty --n item is refused
+    out = tmp_path / "sim"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--curve", str(synth_curve_file), "--out", str(out), "--family", family,
+              "--runs", "1", "--iters", "40", "--burn", "20", "--thin", "1"])
+    assert exc.value.code == 1
+    assert "invalid family ''" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "extra, repeated",
     [(["--family", "uniform,uniform"], "--family: 'uniform'"), (["--n", "50,50"], "--n: 50")],

@@ -1,10 +1,11 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from carbcal.slicesample import SliceConfig, _slice_step, slice_sample, slice_sample_array
+from carbcal.slicesample import SliceConfig, slice_sample, slice_sample_array
 
 
 def run_chain(log_density, start, cfg, rng, n_keep, thin=1):
@@ -64,9 +65,23 @@ def test_slice_condition_always_satisfied():
     cfg = SliceConfig(width=1.5)
     x = 0.0
     for _ in range(2_000):
-        new, z = _slice_step(log_density, x, cfg, rng)
-        assert log_density(new) > z
-        x = new
+        # the level is a transition's first draw: replay it on a copy of the generator
+        z = log_density(x) - copy.deepcopy(rng).standard_exponential()
+        x = slice_sample(log_density, x, cfg, rng)
+        assert log_density(x) > z
+
+
+def test_default_bounds_draw_as_unbounded_in_both_kernels():
+    target = lambda x: bimodal_logpdf(x, sep=2.0)
+    draws = []
+    for cfg in (SliceConfig(width=1.5), SliceConfig(width=1.5, bounds=(-math.inf, math.inf))):
+        rng = np.random.default_rng(13)
+        scalar = run_chain(target, 0.5, cfg, rng, n_keep=500)
+        many = np.linspace(-3.0, 3.0, 7)
+        for _ in range(100):
+            many = slice_sample_array(lambda x, index: target(x), many, cfg, rng)
+        draws.append(np.concatenate([scalar, many]).tobytes())
+    assert draws[0] == draws[1]
 
 
 def test_stepping_out_never_exceeds_max_steps_or_bounds():
