@@ -13,7 +13,7 @@ import functools
 import io
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,19 +31,28 @@ def default_resolution(span: float) -> float:
 
 @dataclass(frozen=True)
 class Determination:
-    """One observed radiocarbon age with its laboratory uncertainty."""
+    """One observed radiocarbon age with its laboratory uncertainty.
+
+    ``source`` is where it was read, ``"<file>:<line>"``, or ``""`` (not compared).
+    Errors about the date start with ``str(det)``: ``dets.csv:4: determination 'far'``.
+    """
 
     id: str
     x: float      # 14C yr BP
     sigma: float  # 14C yr, > 0
+    source: str = field(default="", compare=False)
 
     def __post_init__(self):
         if "\n" in self.id or "\r" in self.id:
-            raise DataError(f"determination {self.id!r}: id must not contain a line break")
+            raise DataError(f"{self}: id must not contain a line break")
         if not math.isfinite(self.x):
-            raise DataError(f"determination {self.id!r}: radiocarbon age must be finite")
+            raise DataError(f"{self}: radiocarbon age must be finite")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise DataError(f"determination {self.id!r}: sigma must be > 0")
+            raise DataError(f"{self}: sigma must be > 0")
+
+    def __str__(self):
+        named = f"determination {self.id!r}"
+        return f"{self.source}: {named}" if self.source else named
 
 
 @dataclass(frozen=True)
@@ -114,7 +123,9 @@ def read_determinations(path) -> list[Determination]:
 
     A file that cannot be opened or is not UTF-8 text raises ``DataError``
     naming it (and, for a decoding failure, the line).  A leading UTF-8
-    byte-order mark, as spreadsheet programs write, is skipped.
+    byte-order mark, as spreadsheet programs write, is skipped.  Each date's
+    ``source`` is ``"<path>:<line>"``, so any later error about it, such as
+    an age off the curve, names its row.
     """
     try:
         with open(path, "rb") as fh:
@@ -145,12 +156,10 @@ def read_determinations(path) -> list[Determination]:
         if len(row) < 3:
             raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
         try:
-            det = Determination(row[0].strip(), float(row[1]), float(row[2]))
+            x, sigma = float(row[1]), float(row[2])
         except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}")
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}")
-        dets.append(det)
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        dets.append(Determination(row[0].strip(), x, sigma, source=f"{path}:{lineno}"))
     if not dets:
         raise DataError(f"{path}: no determinations found")
     return dets
@@ -288,7 +297,7 @@ def _require_mass(
     if not (math.isfinite(mass) and mass > 0):
         lo, hi = curve.support
         raise DataError(
-            f"determination {det.id!r}: radiocarbon age {det.x:g} has no likelihood "
+            f"{det}: radiocarbon age {det.x:g} has no likelihood "
             f"mass on the {resolution:g} cal yr grid over the curve support [{lo:g}, {hi:g}]"
         )
 
@@ -414,16 +423,10 @@ def default_hyperparameters(dets, curve: CalibrationCurve, theta_map=None) -> Hy
         theta_map = map_estimates(dets, curve)
     spread = theta_map.max() - theta_map.min()
     if spread == 0:
-        raise DataError(
-            "all preliminary MAP calendar ages are identical; "
-            "supply hyperparameters manually"
-        )
+        raise DataError("all preliminary MAP calendar ages are identical")
     mad = median_abs_deviation(theta_map)
     if mad == 0:
-        raise DataError(
-            "preliminary MAP calendar ages have zero spread statistic; "
-            "supply hyperparameters manually"
-        )
+        raise DataError("preliminary MAP calendar ages have zero spread statistic")
     nu1 = 0.25
     q75, q25 = np.percentile(theta_map, [75, 25])
     return Hyperparameters(

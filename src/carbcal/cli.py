@@ -19,6 +19,7 @@ import re
 import sys
 import time
 import traceback
+import warnings
 from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
@@ -160,17 +161,14 @@ def _parse_hyper_overrides(pairs) -> dict:
     return overrides
 
 
-def _map_ages(path, dets, curve, resolution=COARSE_RESOLUTION):
-    """MAP ages of the dates on the ``resolution`` grid, read from the file ``path``.
-
-    ``map_estimates`` refuses a date with no likelihood mass on that grid;
-    the error names ``path``.  Every subcommand that reads dates calls this
-    before ``_start_run``, so such a date leaves no output behind.
-    """
-    try:
-        return map_estimates(dets, curve, resolution)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+def _by_key(dets, key, clash: str) -> dict:
+    """``dets`` by ``key(det)``, in order; a repeat is refused with ``clash`` naming both rows."""
+    by_key = {}
+    for det in dets:
+        first = by_key.setdefault(key(det), det)
+        if first is not det:
+            raise DataError(f"{det}: " + clash.format(key=key(det), first=first))
+    return by_key
 
 
 def _resolve_hyper(path, dets, curve, overrides: dict):
@@ -178,18 +176,19 @@ def _resolve_hyper(path, dets, curve, overrides: dict):
 
     The hyperparameters are the adaptive defaults overridden field by field,
     or a fully manual set.  The MAP ages are computed once, here, and the
-    run reuses them.  Errors in the data name the determinations file
-    ``path``.  A fully manual set skips the checks on the spread of the
-    dates, but not the refusal of a date with no likelihood mass, which
-    ``map_estimates`` makes.
+    run reuses them.  A fully manual set skips the checks on the spread of
+    the dates, whose errors name the determinations file ``path``, but not
+    the refusal of a date with no likelihood mass, which ``map_estimates``
+    makes and which names the date's row.
     """
-    required = {f.name for f in fields(Hyperparameters) if f.default is MISSING}
-    theta_map = _map_ages(path, dets, curve)
+    required = [f.name for f in fields(Hyperparameters) if f.default is MISSING]
+    theta_map = map_estimates(dets, curve)
     try:
         hyper = default_hyperparameters(dets, curve, theta_map=theta_map)
     except DataError as exc:
-        if not required <= overrides.keys():
-            raise DataError(f"{path}: {exc}") from None
+        if not set(required) <= overrides.keys():
+            keys = ", ".join(map(hyper_key, required))
+            raise DataError(f"{path}: {exc}; give --hyper values for {keys}") from None
         hyper = None
     hyper = Hyperparameters(**overrides) if hyper is None else replace(hyper, **overrides)
     return hyper, theta_map
@@ -206,6 +205,14 @@ def _add_common(parser, needs_dets=True):
     )
     parser.add_argument("--out", help="output directory (default: timestamped)")
     parser.add_argument("--force", action="store_true", help="allow writing into a non-empty directory")
+
+
+def _add_chain_options(parser, iters: int) -> None:
+    """The chain-length and seed options that ``dpmm`` and ``simulate`` share."""
+    parser.add_argument("--iters", type=int, default=iters)
+    parser.add_argument("--burn", type=int, help="default: half of --iters")
+    parser.add_argument("--thin", type=int, default=5)
+    parser.add_argument("--seed", type=_int_at_least(0), default=0)
 
 
 def _require_curve(args, parser):
@@ -230,25 +237,15 @@ def _resolution(args, curve) -> float:
 def _cmd_calibrate(args, parser) -> int:
     curve = _require_curve(args, parser)
     dets = read_determinations(args.determinations)
-    by_stem = {}
-    for det in dets:
-        first = by_stem.setdefault(_safe_id(det.id), det)
-        if first is not det:
-            raise DataError(
-                f"{args.determinations}: ids {first.id!r} and {det.id!r} "
-                f"would both write {_safe_id(det.id)}_posterior.csv"
-            )
+    clash = "would write {key}_posterior.csv, as would {first}"
+    by_stem = _by_key(dets, lambda det: _safe_id(det.id), clash)
     resolution = _resolution(args, curve)
-    # at a resolution coarser than the MAP grid, the grid written is the one to check
-    _map_ages(args.determinations, dets, curve, max(COARSE_RESOLUTION, resolution))
+    # refuses a date off the grid before any output; at a resolution coarser
+    # than the MAP grid, the grid written is the one to check
+    map_estimates(dets, curve, max(COARSE_RESOLUTION, resolution))
     outdir = _start_run(args, {"resolution": resolution, "hpd_levels": list(HPD_LEVELS)})
     writer = GridWriter(uniform_grid(*curve.support, resolution))
-    grids = independent_grids(dets, curve, resolution)  # by_stem keeps the dates' order
-    for stem in by_stem:
-        try:
-            grid = next(grids)
-        except DataError as exc:  # a backstop: _map_ages refuses such dates first
-            raise DataError(f"{args.determinations}: {exc}") from None
+    for stem, grid in zip(by_stem, independent_grids(dets, curve, resolution)):
         _write_grid(writer, grid, outdir / f"{stem}_posterior.csv")
         for level in HPD_LEVELS:
             _write_hpd(hpd_intervals(grid, level), outdir / f"{stem}_hpd_{level}.csv")
@@ -260,12 +257,9 @@ def _cmd_spd(args, parser) -> int:
     curve = _require_curve(args, parser)
     dets = read_determinations(args.determinations)
     resolution = _resolution(args, curve)
-    _map_ages(args.determinations, dets, curve, max(COARSE_RESOLUTION, resolution))
+    map_estimates(dets, curve, max(COARSE_RESOLUTION, resolution))  # as in _cmd_calibrate
     outdir = _start_run(args, {"resolution": resolution})
-    try:
-        grid = spd(dets, curve, resolution)
-    except DataError as exc:  # a backstop: _map_ages refuses such dates first
-        raise DataError(f"{args.determinations}: {exc}") from None
+    grid = spd(dets, curve, resolution)
     _write_grid(GridWriter(grid.theta), grid, outdir / "spd.csv")
     print(f"spd over {len(dets)} determination(s) -> {outdir}")
     return EXIT_OK
@@ -284,20 +278,13 @@ def _write_age_summaries(samples, resolution: float, path: Path) -> None:
 def _cmd_dpmm(args, parser) -> int:
     curve = _require_curve(args, parser)
     dets = read_determinations(args.determinations)
-    seen = set()
-    for det in dets:
-        if det.id in seen:
-            raise DataError(
-                f"{args.determinations}: id {det.id!r} appears more than once; "
-                "dpmm needs one row per determination"
-            )
-        seen.add(det.id)
+    _by_key(dets, lambda det: det.id, "repeats {first}; dpmm needs one row per determination")
     overrides = _parse_hyper_overrides(args.hyper)
     hyper, theta_map = _resolve_hyper(args.determinations, dets, curve, overrides)
     resolution = _resolution(args, curve)
     cfg = ChainConfig(
         n_iter=args.iters,
-        n_burn=args.burn if args.burn is not None else args.iters // 2,
+        n_burn=args.burn,
         thin=args.thin,
         sampler=args.sampler,
         seed=args.seed,
@@ -402,10 +389,7 @@ def build_parser() -> _Parser:
     p_dpmm = sub.add_parser("dpmm", help="joint nonparametric calibration and summarisation")
     _add_common(p_dpmm)
     p_dpmm.add_argument("--sampler", choices=("polya", "walker"), default="walker")
-    p_dpmm.add_argument("--iters", type=int, default=50_000)
-    p_dpmm.add_argument("--burn", type=int, default=None, help="default: half of --iters")
-    p_dpmm.add_argument("--thin", type=int, default=5)
-    p_dpmm.add_argument("--seed", type=_int_at_least(0), default=0)
+    _add_chain_options(p_dpmm, iters=50_000)
     p_dpmm.add_argument("--chains", type=_int_at_least(1), default=1)
     p_dpmm.add_argument(
         "--hyper",
@@ -420,10 +404,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--family", default="single_normal", help="comma-separated families")
     p_sim.add_argument("--n", default="50", help="comma-separated determination counts")
     p_sim.add_argument("--runs", type=_int_at_least(1), default=10)
-    p_sim.add_argument("--iters", type=int, default=10_000)
-    p_sim.add_argument("--burn", type=int, default=5_000)
-    p_sim.add_argument("--thin", type=int, default=5)
-    p_sim.add_argument("--seed", type=_int_at_least(0), default=0)
+    _add_chain_options(p_sim, iters=10_000)
     p_sim.add_argument("--jobs", type=_int_at_least(1), default=1)
     p_sim.set_defaults(func=_cmd_simulate)
     return parser
@@ -432,10 +413,14 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "burn" in args and args.burn is None:
+        args.burn = args.iters // 2
     try:
         if args.out is not None:
             _check_outdir(Path(args.out), args.force)
-        return args.func(args, parser)
+        with warnings.catch_warnings():  # each warning one line, no source; restored after
+            warnings.showwarning = lambda msg, *_: sys.stderr.write(f"carbcal: warning: {msg}\n")
+            return args.func(args, parser)
     except SystemExit:
         raise
     except CarbcalError as exc:

@@ -183,8 +183,12 @@ def _execute_run(args) -> _PreparedRun:
     rng = np.random.default_rng(run_seed)
     scenario = gen_scenario(family, n, curve, rng)
     truth = scenario.true_theta
-    theta_map = map_estimates(scenario.dets, curve)
-    hyper = default_hyperparameters(scenario.dets, curve, theta_map=theta_map)
+    try:
+        theta_map = map_estimates(scenario.dets, curve)
+        hyper = default_hyperparameters(scenario.dets, curve, theta_map=theta_map)
+    except DataError as exc:  # a study has many runs: name the one at fault
+        run = f"simulation run {run_index} ({family}, n={n}, seed {run_seed})"
+        raise DataError(f"{run}: {exc}") from None
     result = RunResult(family, n, run_index, run_seed, flat_curve_flag(curve, truth))
 
     resolution = default_resolution(curve.support[1] - curve.support[0])

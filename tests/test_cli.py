@@ -768,3 +768,79 @@ def test_demo_data_script_reproduces_the_bundled_determinations(tmp_path, capsys
     # the bundled curve is read, never rewritten
     assert (tmp_path / "synthetic_curve.14c").read_bytes() == Path(SITE_CURVE).read_bytes()
     assert "synthetic_curve.14c" not in capsys.readouterr().out
+
+
+# every error about one date starts with its file and line: (rows, offending line,
+# the line of an earlier row the error names too, subcommand, extra arguments)
+NEAR = [("a", 3000.0, 30.0), ("b", 3100.0, 30.0)]
+NAMED_ROW_CASES = {
+    "bad_sigma": (NEAR + [("c", 3200.0, -30.0)], 4, None, "calibrate", []),
+    "non_finite_age": (NEAR + [("c", "inf", 30.0)], 4, None, "calibrate", []),
+    "off_curve_calibrate": (NEAR + [("far", 90000.0, 30.0)], 4, None, "calibrate", []),
+    "off_curve_spd": (NEAR + [("far", 90000.0, 30.0)], 4, None, "spd", []),
+    "off_curve_dpmm": (NEAR + [("far", 90000.0, 30.0)], 4, None, "dpmm", []),
+    "off_curve_dpmm_manual_hyper": (
+        NEAR + [("far", 90000.0, 30.0)], 4, None, "dpmm",
+        [arg for pair in FULL_HYPER for arg in ("--hyper", pair)],
+    ),
+    "coarse_resolution": (NEAR, 2, None, "calibrate", ["--resolution", "100000"]),
+    "repeated_id_dpmm": (NEAR + [("a", 3200.0, 30.0)], 4, 2, "dpmm", []),
+    "colliding_stems_calibrate": (NEAR + [("a/2", 3200.0, 30.0), ("a_2", 3300.0, 30.0)], 5, 4,
+                                  "calibrate", []),
+}
+
+
+@pytest.mark.parametrize("case", list(NAMED_ROW_CASES))
+def test_date_error_names_its_file_and_line(tmp_path, synth_curve_file, capsys, case):
+    rows, line, first_line, subcommand, extra = NAMED_ROW_CASES[case]
+    dets = write_dets(tmp_path / "dets.csv", rows)
+    out = tmp_path / "run"
+    args = [subcommand, dets, "--curve", str(synth_curve_file), "--out", str(out)]
+    if subcommand == "dpmm":
+        args += ["--iters", "10", "--thin", "1"]
+    assert main(args + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"carbcal: error: {dets}:{line}: determination "), err
+    if first_line is not None:
+        assert f"{dets}:{first_line}: determination " in err
+    assert not out.exists()
+
+
+def test_simulate_burn_defaults_to_half_of_iters(tmp_path, synth_curve_file):
+    # --burn defaulted to 5000 here, so any --iters of 5000 or less needed a --burn too
+    out = tmp_path / "sim"
+    args = ["simulate", "--curve", str(synth_curve_file), "--out", str(out)]
+    assert main(args + ["--n", "5", "--runs", "1", "--iters", "40", "--thin", "1"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["burn"] == 20
+
+
+def test_simulate_error_names_its_run(tmp_path, capsys):
+    # on the bundled curve, run 28 of this study draws two dates with one MAP age
+    args = ["simulate", "--curve", SITE_CURVE, "--out", str(tmp_path / "sim")]
+    args += ["--family", "single_normal", "--n", "2", "--runs", "29"]
+    args += ["--iters", "20", "--burn", "10", "--thin", "1", "--seed", "0"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("carbcal: error: simulation run 28 (single_normal, n=2, seed 28): ")
+    assert "identical" in err and "manually" not in err
+
+
+def test_dpmm_dates_with_one_map_age_name_the_hyper_keys(tmp_path, synth_curve_file, capsys):
+    dets = write_dets(tmp_path / "dets.csv", [("a", 3000.0, 30.0), ("b", 3000.0, 30.0)])
+    out = tmp_path / "run"
+    assert main(dpmm_args(dets, synth_curve_file, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"carbcal: error: {dets}: all preliminary MAP calendar ages are identical")
+    assert "--hyper" in err and all(key in err for key in ("lambda", "nu1", "nu2", "xi", "psi"))
+    assert not out.exists()
+    # the five keys the message names are enough
+    hyper = [arg for pair in FULL_HYPER for arg in ("--hyper", pair)]
+    assert main(dpmm_args(dets, synth_curve_file, out) + hyper) == 0
+
+
+def test_warnings_are_printed_as_one_line(tmp_path, capsys):
+    args = ["dpmm", SITE, "--curve", SITE_CURVE, "--out", str(tmp_path / "run")]
+    assert main(args + ["--iters", "40", "--thin", "1"]) == 0
+    err = capsys.readouterr().err
+    assert "carbcal: warning: predictive built from only 20 stored samples" in err
+    assert "UserWarning" not in err and "predictive_density(" not in err

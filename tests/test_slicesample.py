@@ -84,6 +84,32 @@ def test_default_bounds_draw_as_unbounded_in_both_kernels():
     assert draws[0] == draws[1]
 
 
+def _nan_below_zero(x):
+    return np.where(x < 0, np.nan, -0.5 * x * x)
+
+
+@pytest.mark.parametrize(
+    "target, cfg, start",
+    [
+        (bimodal_logpdf, SliceConfig(width=1.5, max_steps=3, bounds=(-4.0, 6.0)), 0.5),
+        (_nan_below_zero, SliceConfig(width=4.0), 1.0),
+    ],
+)
+def test_scalar_kernel_draws_as_the_array_kernel_on_one_coordinate(target, cfg, start):
+    # slice_sample is kept beside slice_sample_array only for speed, as its
+    # one-coordinate case: same draws, bit for bit, and same generator use
+    for seed in range(5):
+        rng_scalar, rng_array = np.random.default_rng(seed), np.random.default_rng(seed)
+        scalar, array = np.empty(2000), np.empty(2000)
+        x, y = start, np.array([start])
+        for k in range(len(scalar)):
+            x = slice_sample(lambda v: float(target(v)), x, cfg, rng_scalar)
+            y = slice_sample_array(lambda v, index: target(v), y, cfg, rng_array)
+            scalar[k], array[k] = x, y[0]
+        assert scalar.tobytes() == array.tobytes()
+        assert rng_scalar.bit_generator.state == rng_array.bit_generator.state
+
+
 def test_stepping_out_never_exceeds_max_steps_or_bounds():
     rng = np.random.default_rng(9)
     calls = []
