@@ -9,7 +9,9 @@ and with one and three chains, and ``simulate`` of all three scenario
 families on one and on two worker processes.  The bundled dates all have
 sigma 25, so ``calibrate``, ``spd`` and one walker ``dpmm`` run again on a
 copy of them, written beside the tree's outputs, whose sigmas cycle through
-six values: more than the curve pass keeps variance terms for.  Every output
+six values: more than the curve pass keeps variance terms for.  A polya
+``dpmm`` of 1000 sweeps on that copy runs long enough for clusters to open
+and close many times over.  Every output
 file except ``manifest.json`` (which records its output directory and input
 paths) must be byte-identical between the trees.
 Prints each difference and exits 1 if there is any, 0 otherwise.  For a file
@@ -65,6 +67,11 @@ COMMANDS = [
         "dpmm-walker-mixed-sigma",
         ["dpmm", MIXED, "--curve", CURVE, "--sampler", "walker",
          "--iters", "200", "--burn", "100", "--thin", "2", "--seed", "17"],
+    ),
+    (
+        "dpmm-polya-mixed",
+        ["dpmm", MIXED, "--curve", CURVE, "--sampler", "polya",
+         "--iters", "1000", "--burn", "500", "--thin", "5", "--seed", "17"],
     ),
 ]
 

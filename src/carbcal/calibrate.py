@@ -394,10 +394,11 @@ def map_estimates(dets, curve: CalibrationCurve, coarse_resolution: float = COAR
         raise DataError("coarse_resolution must be > 0")
     theta = uniform_grid(*curve.support, coarse_resolution)
     out = np.empty(len(dets))
-    for k, (det, loglik) in enumerate(zip(dets, _log_likelihoods(dets, curve, theta))):
-        best = int(np.argmax(loglik))
-        _require_mass(det, curve, math.exp(loglik[best]), coarse_resolution)
-        out[k] = theta[best]
+    with np.errstate(over="ignore"):  # an age far off the curve squares to inf: no mass
+        for k, (det, loglik) in enumerate(zip(dets, _log_likelihoods(dets, curve, theta))):
+            best = int(np.argmax(loglik))
+            _require_mass(det, curve, math.exp(loglik[best]), coarse_resolution)
+            out[k] = theta[best]
     return out
 
 

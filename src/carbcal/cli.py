@@ -221,6 +221,17 @@ def _require_curve(args, parser):
     return load_curve(args.curve)
 
 
+def _check_storage(args, n_dates: int) -> None:
+    """Refuse a chain whose stored ages and labels, 16 bytes a date, exceed physical memory."""
+    need = 16 * ((args.iters - args.burn) // args.thin) * n_dates
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise DataError(
+            f"--iters {args.iters}, --burn {args.burn} and --thin {args.thin} store "
+            f"{need / 2**30:.3g} GiB of draws; physical memory is {have / 2**30:.3g} GiB"
+        )
+
+
 def _resolution(args, curve) -> float:
     """``--resolution``, or the default grid spacing for the curve's span."""
     if args.resolution is None:
@@ -296,6 +307,7 @@ def _cmd_dpmm(args, parser) -> int:
             f"--resolution {resolution:g} is wider than the predictive window around "
             "the dates' MAP ages; the predictive grid needs at least 2 points"
         )
+    _check_storage(args, len(dets))
     config = asdict(cfg)
     config.update(resolution=resolution, chains=args.chains)
     outdir = _start_run(args, config, seed=args.seed)
@@ -344,6 +356,7 @@ def _cmd_simulate(args, parser) -> int:
         if repeated is not None:
             parser.error(f"argument {option}: {repeated!r} is given more than once")
     check_chain_length(args.iters, args.burn, args.thin)
+    _check_storage(args, max(n_values))
     config = {
         "families": families,
         "n_values": n_values,

@@ -11,8 +11,8 @@ an exact normal draw.
 
 Marginal-weights ("polya") reallocation is sequential over dates: each
 label is drawn given all the others.  One ``polya_reallocate`` call makes
-that pass over every date, keeping the counts and per-cluster log terms up
-to date as labels move instead of rebuilding them for each date.
+that pass, keeping the counts and per-cluster log terms up to date as labels
+move; an emptied cluster keeps its slot until one compaction ends the pass.
 
 ``run_chains`` advances independent chains in lockstep: a batch's chains
 share one run length and one step cap, their ages live in one array, and one
@@ -96,15 +96,14 @@ class DpmmState:
 
 
 def check_chain_length(n_iter: int, n_burn: int, thin: int) -> None:
-    """Raise ``DataError`` unless the run length stores at least one sample."""
+    """Raise ``DataError``, naming the CLI's options, unless the run stores a sample."""
     if not 0 <= n_burn < n_iter:
-        raise DataError("need 0 <= n_burn < n_iter")
+        raise DataError(f"--burn {n_burn} must be at least 0 and below --iters {n_iter}")
     if thin < 1:
-        raise DataError("thin must be >= 1")
+        raise DataError(f"--thin {thin} must be at least 1")
     if (n_iter - n_burn) // thin < 1:
         raise DataError(
-            f"thin {thin} exceeds the {n_iter - n_burn} post-burn-in "
-            "iterations; no sample would be stored"
+            f"--thin {thin} > --iters {n_iter} - --burn {n_burn}: no sample would be stored"
         )
 
 
@@ -343,14 +342,13 @@ def polya_reallocate(state: DpmmState, hyper: Hyperparameters, rng) -> np.ndarra
     occupancy without i times its normal density at i's age; a new cluster
     weighs the concentration times the base marginal.  A new cluster's
     parameters come from the conditional given its one member.  An emptied
-    cluster is removed and the labels above it shift down by one, so the
-    clusters keep their order (later draws visit them in that order).
-
-    The labels, the counts, the cluster parameters and the per-cluster terms
-    ``0.5*log(tau)`` and ``0.5*tau`` are Python lists kept up to date as
-    labels move and clusters open or close; ``log n`` comes from a table.
-    They are built once and written back to the state at the end.  Returns
-    ``state.c``.
+    cluster keeps its slot, weighing ``exp(-inf) = 0``, so no label moves until
+    one compaction after the pass drops the empty slots in order.  A uniform of
+    exactly 0.0 (probability 2**-53 per date) seats its date in the first slot
+    even when that slot is empty, as deleting a cluster when it emptied did for
+    a date's own cluster.  The labels, counts, cluster parameters and terms
+    ``0.5*log(tau)`` and ``0.5*tau`` are Python lists; ``log n`` comes from a
+    table.  Returns ``state.c``.
     """
     n = len(state.c)
     theta = state.theta.tolist()
@@ -394,14 +392,11 @@ def polya_reallocate(state: DpmmState, hyper: Hyperparameters, rng) -> np.ndarra
             counts.append(0)
         c[i] = j
         counts[j] += 1
-        if counts[old] == 0 and j != old:
-            for per_cluster in (phi, tau, half_log_tau, half_tau, counts):
-                del per_cluster[old]
-            c = [label - 1 if label > old else label for label in c]
 
-    state.c[:] = c
-    state.phi = np.array(phi)
-    state.tau = np.array(tau)
+    live = [j for j, m in enumerate(counts) if m]
+    rank = {j: k for k, j in enumerate(live)}
+    state.c[:] = [rank[j] for j in c]
+    state.phi, state.tau = np.array(phi)[live], np.array(tau)[live]
     return state.c
 
 
@@ -614,13 +609,13 @@ def expected_clusters(alpha: float, n: int) -> float:
 # chain orchestration
 
 
-def _store_snapshot(state: DpmmState, sampler: str) -> ClusterSample:
+def _store_snapshot(state: DpmmState) -> ClusterSample:
     return ClusterSample(
         c=state.c.copy(),
         phi=state.phi.copy(),
         tau=state.tau.copy(),
-        counts=state.occupancy().copy(),
-        w=state.w.copy() if sampler == "walker" else None,
+        counts=state.occupancy(),
+        w=state.w.copy() if len(state.w) else None,
         alpha=state.alpha,
         mu_phi=state.mu_phi,
     )
@@ -666,10 +661,9 @@ class _Chain:
             self.alpha_accepts += 1
         update_mu_phi(state, hyper, rng)
 
-        stored = len(self.snapshots)
-        if it > cfg.n_burn and (it - cfg.n_burn) % cfg.thin == 0 and stored < cfg.n_stored:
-            self.stored_theta[stored] = state.theta
-            self.snapshots.append(_store_snapshot(state, cfg.sampler))
+        if it > cfg.n_burn and (it - cfg.n_burn) % cfg.thin == 0:
+            self.stored_theta[len(self.snapshots)] = state.theta
+            self.snapshots.append(_store_snapshot(state))
 
     def samples(self, curve: CalibrationCurve) -> PosteriorSamples:
         self.state.validate(curve)

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import filecmp
 import hashlib
+import io
 import json
 import os
 import re
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carbcal.calcurve import load_curve
 from carbcal.calibrate import calibrate_independent, read_determinations, spd, write_csv
@@ -844,3 +848,131 @@ def test_warnings_are_printed_as_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "carbcal: warning: predictive built from only 20 stored samples" in err
     assert "UserWarning" not in err and "predictive_density(" not in err
+
+
+@pytest.mark.parametrize("subcommand", ["dpmm", "simulate"])
+def test_bad_chain_length_names_the_options(tmp_path, capsys, subcommand):
+    out = tmp_path / "run"
+    args = [subcommand, "--curve", SITE_CURVE, "--out", str(out), "--iters", "10", "--burn", "20"]
+    assert main(args + ([SITE] if subcommand == "dpmm" else [])) == 2
+    err = capsys.readouterr().err
+    assert "--burn 20" in err and "--iters 10" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["dpmm", "simulate"])
+def test_chain_too_large_to_store_is_refused_before_output(tmp_path, capsys, subcommand):
+    # 5e11 stored samples: far more than any machine's memory holds
+    out = tmp_path / "run"
+    args = [subcommand, "--curve", SITE_CURVE, "--out", str(out), "--iters", "1000000000000"]
+    args += ["--thin", "1"] + ([SITE] if subcommand == "dpmm" else ["--n", "5", "--runs", "1"])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("carbcal: error: ") and "Traceback" not in err, err
+    assert all(option in err for option in ("--iters", "--burn", "--thin")), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["calibrate", "spd", "dpmm"])
+def test_age_whose_square_overflows_is_a_plain_data_error(tmp_path, capsys, subcommand):
+    # the residual of an age of 1e155 squares to inf: a numpy overflow warning
+    # came before the error, and under warnings-as-errors a traceback
+    dets = write_dets(tmp_path / "dets.csv", NEAR + [("far", 1e155, 30.0)])
+    out = tmp_path / "run"
+    assert main([subcommand, dets, "--curve", SITE_CURVE, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"carbcal: error: {dets}:4: determination 'far'"), err
+    assert "warning" not in err
+    assert not out.exists()
+
+
+def _mostly(usual, odd):
+    """Draws of ``usual`` nine times in ten, else one of the ``odd`` values."""
+    return st.integers(0, 9).flatmap(lambda k: st.sampled_from(odd) if k == 0 else usual)
+
+
+_ODD_IDS = ["a", "a", "b,c", 'q"t', " s p ", "ünï", "", "x/y", "x_y", "#1"]
+_AGES = _mostly(
+    st.floats(500.0, 45000.0).map(repr),
+    ["nan", "inf", "-inf", "-1e6", "1e6", "1e155", "1e308", "-0", "", "abc"],
+)
+_SIGMAS = _mostly(
+    st.floats(1.0, 300.0).map(repr),
+    ["0", "-5", "nan", "inf", "1e-300", "1e-9", "1e6", "1e300", ""],
+)
+_HYPER_FLOATS = (
+    "lambda", "nu1", "nu2", "xi", "psi", "eta1", "eta2", "slice_width", "alpha_prop_sd",
+)
+_HYPER = st.one_of(
+    st.tuples(st.sampled_from(_HYPER_FLOATS), _mostly(
+        st.floats(-1e6, 1e6).map(repr), ["nan", "inf", "0", "1e-300", "x"])),
+    # a step cap bounds time, not memory: with a tiny slice width, a cap of
+    # 1e6 steps would keep one example stepping out for minutes
+    st.tuples(
+        st.sampled_from(["slice_max_steps", "n_init_clusters"]), st.integers(-2, 1000).map(str)
+    ),
+    st.just(("n_init_clusters", "1000000")),
+)
+
+
+@st.composite
+def _determinations_text(draw):
+    rows = [
+        (draw(_mostly(st.just(f"d{k}"), _ODD_IDS)), draw(_AGES), draw(_SIGMAS))
+        for k in range(draw(st.integers(1, 5)))
+    ]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=eol, quoting=quoting)
+    writer.writerow(["id", "c14_age", "c14_sig"])
+    for row in rows:
+        writer.writerow(row)
+        buf.write(eol if draw(st.integers(0, 4)) == 0 else "")  # a blank row
+    return ("\ufeff" if draw(st.booleans()) else "") + buf.getvalue()
+
+
+@st.composite
+def _cli_case(draw):
+    subcommand = draw(st.sampled_from(["calibrate", "spd", "dpmm"]))
+    args = [subcommand]
+    resolution = draw(_mostly(st.none(), ["0", "-5", "inf", "nan", "0.5", "5", "1e6"]))
+    if resolution is not None:
+        args += ["--resolution", resolution]
+    if subcommand == "dpmm":
+        args += ["--iters", str(draw(st.integers(1, 60)))]
+        args += ["--thin", draw(st.sampled_from(["1", "5"]))]
+        args += ["--sampler", draw(st.sampled_from(["polya", "walker"]))]
+        args += ["--chains", str(draw(_mostly(st.integers(1, 3), [0, -1])))]
+        burn = draw(_mostly(st.none(), ["-1", "0", "1", "30", "60", "100"]))
+        args += [] if burn is None else ["--burn", burn]
+        for key, value in draw(st.lists(_HYPER, max_size=2)):
+            args += ["--hyper", f"{key}={value}"]
+    return draw(_determinations_text()), args
+
+
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=_cli_case())
+def test_any_input_exits_cleanly_with_finite_outputs(tmp_path_factory, case):
+    # The input contract: whatever the file and options, exit 0, 1 (usage) or
+    # 2 (data), never a traceback, and no non-finite number in any output.
+    text, args = case
+    work = tmp_path_factory.mktemp("contract")
+    dets, out = work / "dets.csv", work / "run"
+    dets.write_text(text, encoding="utf-8", newline="")
+    argv = [args[0], str(dets), "--curve", SITE_CURVE, "--out", str(out), *args[1:]]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    for path in out.rglob("*") if out.exists() else ():
+        if path.is_file():
+            found = _NON_FINITE.search(path.read_text(encoding="utf-8"))
+            assert found is None, (argv, path.name, found)

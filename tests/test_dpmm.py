@@ -378,6 +378,14 @@ def _polya_sweep_cases():
         np.linspace(480.0, 520.0, 16), labels, [500.0] + [5000.0] * 5, [30.0**-2] * 6,
         alpha=1e-6,
     )
+    # Date 0 is a singleton far from its own cluster, so slot 0 is the first to
+    # empty; date 5 empties slot 2, and date 8, far from every cluster, then
+    # opens a new one behind both emptied slots.
+    labels = [0, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1]
+    yield "front", fixed_theta_state(
+        [500.0, 490.0, 510.0, 505.0, 495.0, 500.0, 498.0, 502.0, 1300.0, 503.0, 497.0], labels,
+        [5000.0, 500.0, 5000.0], [30.0**-2] * 3,
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -410,6 +418,7 @@ def test_polya_sweep_matches_per_date_reference(seed):
     assert events["opens"][0] > 0
     assert events["closes"][1] > 0
     assert events["mixture"][0] > 0 and events["mixture"][1] > 0
+    assert events["front"][0] > 0 and events["front"][1] > 0
 
 
 # ---------------------------------------------------------------------------
