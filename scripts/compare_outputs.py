@@ -11,9 +11,11 @@ sigma 25, so ``calibrate``, ``spd`` and one walker ``dpmm`` run again on a
 copy of them, written beside the tree's outputs, whose sigmas cycle through
 six values: more than the curve pass keeps variance terms for.  A polya
 ``dpmm`` of 1000 sweeps on that copy runs long enough for clusters to open
-and close many times over.  Every output
-file except ``manifest.json`` (which records its output directory and input
-paths) must be byte-identical between the trees.
+and close many times over.  A polya ``dpmm`` of 150 sweeps also runs on a
+1000-date copy, the bundled rows ten times over with each id suffixed
+``-k`` for copy k: the size at which the polya sweep's cost is measured.
+Every output file except ``manifest.json`` (which records its output
+directory and input paths) must be byte-identical between the trees.
 Prints each difference and exits 1 if there is any, 0 otherwise.  For a file
 that differs it also prints how many of its cells differ (the text between
 commas, white space and JSON brackets) and the largest relative difference
@@ -35,8 +37,9 @@ from pathlib import Path
 
 SITE = "data/example_three_phase.csv"
 CURVE = "data/synthetic_curve.14c"
-#: Stands for the path of the mixed-sigma copy of ``SITE`` in ``COMMANDS``.
+#: Stand for the paths of the mixed-sigma and 1000-date copies of ``SITE`` in ``COMMANDS``.
 MIXED = "<mixed-sigma copy>"
+TENFOLD = "<1000-date copy>"
 MIXED_SIGMAS = ("17.5", "20", "25", "30", "40", "80")
 
 #: (name, arguments): the ``--out`` directory is added per tree.
@@ -73,31 +76,50 @@ COMMANDS = [
         ["dpmm", MIXED, "--curve", CURVE, "--sampler", "polya",
          "--iters", "1000", "--burn", "500", "--thin", "5", "--seed", "17"],
     ),
+    (
+        "dpmm-polya-n1000",
+        ["dpmm", TENFOLD, "--curve", CURVE, "--sampler", "polya",
+         "--iters", "150", "--burn", "50", "--thin", "1", "--seed", "17"],
+    ),
 ]
 
 IGNORED = {"manifest.json"}
 
 
-def write_mixed_sigma(site: Path, path: Path) -> None:
-    """Copy the determinations file ``site`` to ``path``, its sigmas cycling through ``MIXED_SIGMAS``."""
+def write_copy(site: Path, path: Path, copy_rows) -> None:
+    """Write ``path``: the header of the determinations file ``site``, then ``copy_rows(rows)``."""
     with open(site, newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(
-            [row[0], row[1], MIXED_SIGMAS[k % len(MIXED_SIGMAS)]] for k, row in enumerate(rows)
-        )
+        writer.writerows(copy_rows(rows))
+
+
+def mixed_sigma_rows(rows):
+    """``rows`` with their sigmas cycling through ``MIXED_SIGMAS``."""
+    return ([row[0], row[1], MIXED_SIGMAS[k % len(MIXED_SIGMAS)]] for k, row in enumerate(rows))
+
+
+def tenfold_rows(rows):
+    """``rows`` ten times over, each id suffixed ``-k`` in copy k."""
+    return ([f"{row[0]}-{k}", *row[1:]] for k in range(10) for row in rows)
+
+
+#: Placeholder in ``COMMANDS`` -> (file name suffix, rows of the copy).
+COPIES = {MIXED: ("mixed-sigma", mixed_sigma_rows), TENFOLD: ("n1000", tenfold_rows)}
 
 
 def run_tree(tree: Path, out_root: Path) -> list[str]:
     """Run every command with ``tree``'s sources; returns the failures."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    mixed = out_root.with_name(f"{out_root.name}-mixed-sigma.csv")
-    write_mixed_sigma(tree / SITE, mixed)
+    copies = {}
+    for placeholder, (suffix, copy_rows) in COPIES.items():
+        copies[placeholder] = out_root.with_name(f"{out_root.name}-{suffix}.csv")
+        write_copy(tree / SITE, copies[placeholder], copy_rows)
     failures = []
     for name, args in COMMANDS:
-        args = [str(mixed) if arg == MIXED else arg for arg in args]
+        args = [str(copies.get(arg, arg)) for arg in args]
         argv = [sys.executable, "-m", "carbcal.cli", *args, "--out", str(out_root / name)]
         done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
         if done.returncode != 0:
@@ -164,7 +186,8 @@ def main(argv=None) -> int:
     parser.add_argument("tree_b", type=Path)
     parser.add_argument("--work", type=Path, help="directory for the outputs (default: a temporary one)")
     args = parser.parse_args(argv)
-    work = args.work or Path(tempfile.mkdtemp(prefix="carbcal-compare-"))
+    # absolute: each command runs in its tree, and reads and writes paths under ``work``
+    work = (args.work or Path(tempfile.mkdtemp(prefix="carbcal-compare-"))).resolve()
     work.mkdir(parents=True, exist_ok=True)
     out_a, out_b = work / "a", work / "b"
     for out in (out_a, out_b):

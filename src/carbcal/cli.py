@@ -45,12 +45,19 @@ from carbcal.calibrate import (
     write_csv,
     write_json,
 )
-from carbcal.dpmm import ChainConfig, check_chain_length, run_chain, run_chains
+from carbcal.dpmm import (
+    BATCH_DATES,
+    SAMPLERS,
+    ChainConfig,
+    check_chain_length,
+    run_chain,
+    run_chains,
+)
 from carbcal.errors import CarbcalError, DataError
 from carbcal.predictive import (
     cluster_count_posterior,
-    default_predictive_grid,
     predictive_density,
+    predictive_window,
 )
 
 EXIT_OK = 0
@@ -221,15 +228,36 @@ def _require_curve(args, parser):
     return load_curve(args.curve)
 
 
-def _check_storage(args, n_dates: int) -> None:
-    """Refuse a chain whose stored ages and labels, 16 bytes a date, exceed physical memory."""
-    need = 16 * ((args.iters - args.burn) // args.thin) * n_dates
+def _check_memory(need: float, what: str) -> None:
+    """Refuse a run whose ``what`` need ``need`` bytes, more than physical memory holds."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise DataError(
-            f"--iters {args.iters}, --burn {args.burn} and --thin {args.thin} store "
-            f"{need / 2**30:.3g} GiB of draws; physical memory is {have / 2**30:.3g} GiB"
+            f"{what} need {need / 2**30:.3g} GiB; physical memory is {have / 2**30:.3g} GiB"
         )
+
+
+def _check_storage(args, n_dates: int, chains: int, processes: int = 1) -> None:
+    """Refuse a run whose stored draws, held at once, exceed physical memory.
+
+    A chain stores an age and a label, 16 bytes, per stored sample and date.
+    ``run_chains`` holds the draws of one lockstep batch at once: of
+    ``chains`` chains of ``n_dates`` dates, as many as fit in ``BATCH_DATES``
+    dates, and at least one.  Each of ``processes`` processes holds a batch.
+    """
+    held = min(chains, max(1, BATCH_DATES // n_dates)) * processes
+    need = 16 * ((args.iters - args.burn) // args.thin) * n_dates * held
+    _check_memory(
+        need,
+        f"--iters {args.iters}, --burn {args.burn} and --thin {args.thin}: "
+        f"the draws of {held} chain(s) held at once",
+    )
+
+
+def _check_grid(resolution: float, lo: float, hi: float, point_bytes: float, held: str) -> None:
+    """Refuse a grid over ``[lo, hi]`` of ``point_bytes`` a point; ``held`` says what they hold."""
+    points = (hi - lo) / resolution + 1
+    _check_memory(point_bytes * points, f"--resolution {resolution:g}: {points:.3g} points, {held}")
 
 
 def _resolution(args, curve) -> float:
@@ -251,6 +279,7 @@ def _cmd_calibrate(args, parser) -> int:
     clash = "would write {key}_posterior.csv, as would {first}"
     by_stem = _by_key(dets, lambda det: _safe_id(det.id), clash)
     resolution = _resolution(args, curve)
+    _check_grid(resolution, *curve.support, 16, "whose ages and densities")
     # refuses a date off the grid before any output; at a resolution coarser
     # than the MAP grid, the grid written is the one to check
     map_estimates(dets, curve, max(COARSE_RESOLUTION, resolution))
@@ -268,6 +297,7 @@ def _cmd_spd(args, parser) -> int:
     curve = _require_curve(args, parser)
     dets = read_determinations(args.determinations)
     resolution = _resolution(args, curve)
+    _check_grid(resolution, *curve.support, 16, "whose ages and densities")
     map_estimates(dets, curve, max(COARSE_RESOLUTION, resolution))  # as in _cmd_calibrate
     outdir = _start_run(args, {"resolution": resolution})
     grid = spd(dets, curve, resolution)
@@ -301,13 +331,17 @@ def _cmd_dpmm(args, parser) -> int:
         seed=args.seed,
         hyper=hyper,
     )
-    grid = default_predictive_grid(curve, theta_map, resolution)
+    _check_storage(args, len(dets), args.chains)
+    window = predictive_window(curve, theta_map, resolution)
+    # the predictive density holds one row of the grid per stored sample
+    held = f"whose densities for {cfg.n_stored} stored samples"
+    _check_grid(resolution, *window, 8 * cfg.n_stored, held)
+    grid = uniform_grid(*window, resolution)
     if len(grid) < 2:
         raise DataError(
             f"--resolution {resolution:g} is wider than the predictive window around "
             "the dates' MAP ages; the predictive grid needs at least 2 points"
         )
-    _check_storage(args, len(dets))
     config = asdict(cfg)
     config.update(resolution=resolution, chains=args.chains)
     outdir = _start_run(args, config, seed=args.seed)
@@ -356,7 +390,10 @@ def _cmd_simulate(args, parser) -> int:
         if repeated is not None:
             parser.error(f"argument {option}: {repeated!r} is given more than once")
     check_chain_length(args.iters, args.burn, args.thin)
-    _check_storage(args, max(n_values))
+    # run_study deals the runs of the largest --n out to its workers in turn
+    largest = args.runs * len(families)
+    workers = min(args.jobs, largest)
+    _check_storage(args, max(n_values), len(SAMPLERS) * (largest // workers), workers)
     config = {
         "families": families,
         "n_values": n_values,

@@ -11,8 +11,12 @@ an exact normal draw.
 
 Marginal-weights ("polya") reallocation is sequential over dates: each
 label is drawn given all the others.  One ``polya_reallocate`` call makes
-that pass, keeping the counts and per-cluster log terms up to date as labels
-move; an emptied cluster keeps its slot until one compaction ends the pass.
+that pass.  What no label move changes is computed once per pass: each
+date's quadratic term against each cluster, as one table, and each date's
+new-cluster term.  Per date, only the count terms of the cluster a date
+leaves and the one it joins are redone.  An emptied cluster keeps its slot
+until one compaction ends the pass; an opened one adds its column to the
+table for the dates after its first member.
 
 ``run_chains`` advances independent chains in lockstep: a batch's chains
 share one run length and one step cap, their ages live in one array, and one
@@ -31,6 +35,7 @@ import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate
+from operator import sub
 from pathlib import Path
 
 import numpy as np
@@ -346,9 +351,19 @@ def polya_reallocate(state: DpmmState, hyper: Hyperparameters, rng) -> np.ndarra
     one compaction after the pass drops the empty slots in order.  A uniform of
     exactly 0.0 (probability 2**-53 per date) seats its date in the first slot
     even when that slot is empty, as deleting a cluster when it emptied did for
-    a date's own cluster.  The labels, counts, cluster parameters and terms
-    ``0.5*log(tau)`` and ``0.5*tau`` are Python lists; ``log n`` comes from a
-    table.  Returns ``state.c``.
+    a date's own cluster.
+
+    Per sweep: the (dates x clusters) table ``quad`` of ``(0.5*tau) * dev *
+    dev`` with ``dev = theta - phi``, built by numpy and held as Python rows
+    (an opened cluster appends its term to the rows of the later dates), and
+    each date's new-cluster log weight.  Per cluster, ``base`` holds ``log n
+    + 0.5*log(tau)``, redone for the cluster a date leaves and the one it
+    joins.  A log weight is ``base[j] - quad[i][j]``, the scalar form's
+    operations in its order, so the chain's bits are those of a per-date
+    loop.  The weights stay scalar: numpy's ``exp`` need not round as libm's
+    does, and each date draws its own ``random()``, since a date that opens a
+    cluster draws its parameters from the same generator before the next
+    date's uniform.  Returns ``state.c``.
     """
     n = len(state.c)
     theta = state.theta.tolist()
@@ -357,8 +372,10 @@ def polya_reallocate(state: DpmmState, hyper: Hyperparameters, rng) -> np.ndarra
     tau = state.tau.tolist()
     counts = np.bincount(state.c, minlength=len(phi)).tolist()
     half_log_tau = [0.5 * math.log(t) for t in tau]
-    half_tau = [0.5 * t for t in tau]
     log_count = [-math.inf] + [math.log(m) for m in range(1, n + 1)]
+    base = [log_count[m] + hl for m, hl in zip(counts, half_log_tau)]
+    dev = state.theta[:, None] - state.phi
+    quad = (0.5 * state.tau * dev * dev).tolist()
     df, scale2, log_norm, expo = _base_marginal_terms(hyper)
     log_alpha = math.log(state.alpha)
     mu_phi = state.mu_phi
@@ -366,32 +383,38 @@ def polya_reallocate(state: DpmmState, hyper: Hyperparameters, rng) -> np.ndarra
     # marginal (full density); reinstate it so the weights are consistent.
     half_log_2pi = 0.5 * LOG_2PI
     exp, log1p, random = math.exp, math.log1p, rng.random
+    log_new = [
+        log_alpha + (log_norm - expo * log1p((t - mu_phi) ** 2 / scale2 / df)) + half_log_2pi
+        for t in theta
+    ]
 
     for i, t in enumerate(theta):
         old = c[i]
         counts[old] -= 1
-        log_w = [
-            log_count[m] + hl - ht * (t - p) * (t - p)
-            for m, hl, ht, p in zip(counts, half_log_tau, half_tau, phi)
-        ]
-        log_w.append(
-            log_alpha + (log_norm - expo * log1p((t - mu_phi) ** 2 / scale2 / df)) + half_log_2pi
-        )
+        base[old] = log_count[counts[old]] + half_log_tau[old]
+        log_w = list(map(sub, base, quad[i]))
+        log_w.append(log_new[i])
         top = max(log_w)
         weights = [exp(lw - top) for lw in log_w]
         target = random() * sum(weights)
         # The first cluster whose running weight reaches the target; the new
         # cluster when rounding leaves every running weight short of it.
-        j = min(bisect_left(list(accumulate(weights)), target), len(phi))
-        if j == len(phi):
+        k = len(base)
+        j = bisect_left(list(accumulate(weights)), target, 0, k)
+        if j == k:
             new_phi, new_tau = _draw_cluster_params(1.0, t, t * t, mu_phi, hyper, rng)
+            new_phi, new_tau = float(new_phi), float(new_tau)  # numpy scalars: slower sums
             phi.append(new_phi)
             tau.append(new_tau)
             half_log_tau.append(0.5 * math.log(new_tau))
-            half_tau.append(0.5 * new_tau)
+            ht = 0.5 * new_tau
+            for row, s in zip(quad[i + 1 :], theta[i + 1 :]):
+                row.append(ht * (s - new_phi) * (s - new_phi))
             counts.append(0)
+            base.append(0.0)
         c[i] = j
         counts[j] += 1
+        base[j] = log_count[counts[j]] + half_log_tau[j]
 
     live = [j for j, m in enumerate(counts) if m]
     rank = {j: k for k, j in enumerate(live)}

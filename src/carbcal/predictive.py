@@ -103,15 +103,19 @@ def predictive_density(
     )
 
 
-def default_predictive_grid(curve, theta_map, resolution: float) -> np.ndarray:
-    """Grid covering the preliminary MAP ages padded by four spread units."""
+def predictive_window(curve, theta_map, resolution: float) -> tuple[float, float]:
+    """Ends of the default predictive grid: the preliminary MAP ages padded
+    by four spread units, inside the curve's support."""
     theta_map = np.asarray(theta_map, dtype=float)
     mad = median_abs_deviation(theta_map)
     pad = 4.0 * mad if mad > 0 else 4.0 * resolution
     lo_s, hi_s = curve.support
-    lo = max(theta_map.min() - pad, lo_s)
-    hi = min(theta_map.max() + pad, hi_s)
-    return uniform_grid(lo, hi, resolution)
+    return max(theta_map.min() - pad, lo_s), min(theta_map.max() + pad, hi_s)
+
+
+def default_predictive_grid(curve, theta_map, resolution: float) -> np.ndarray:
+    """Grid covering the preliminary MAP ages padded by four spread units."""
+    return uniform_grid(*predictive_window(curve, theta_map, resolution), resolution)
 
 
 def cluster_count_posterior(samples: PosteriorSamples) -> dict[int, float]:

@@ -873,6 +873,47 @@ def test_chain_too_large_to_store_is_refused_before_output(tmp_path, capsys, sub
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand, extra, memory, held",
+    [
+        # 100 stored samples of the 100 bundled dates: 160 kB a chain
+        ("dpmm", [SITE, "--resolution", "50", "--chains", "3"], 320_000, 3),
+        # 8 kB a chain of 5 dates; each of 2 workers holds its run's 2 chains
+        ("simulate", ["--n", "5", "--runs", "2", "--jobs", "2"], 24_000, 4),
+    ],
+)
+def test_batch_too_large_to_store_is_refused_before_output(
+    tmp_path, capsys, monkeypatch, subcommand, extra, memory, held
+):
+    # one chain fits in ``memory`` bytes, the chains held at once do not
+    real = os.sysconf
+    fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+    monkeypatch.setattr(os, "sysconf", lambda name: fake[name] if name in fake else real(name))
+    out = tmp_path / "run"
+    args = [subcommand, "--curve", SITE_CURVE, "--out", str(out)]
+    args += ["--iters", "110", "--burn", "10", "--thin", "1", *extra]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("carbcal: error: --iters 110, --burn 10 and --thin 1: ")
+    assert f"the draws of {held} chain(s) held at once" in err and "Traceback" not in err, err
+    assert not out.exists()
+    if subcommand == "dpmm":
+        assert main(args[:-2]) == 0  # the same run with one chain
+
+
+@pytest.mark.parametrize("subcommand", ["calibrate", "spd", "dpmm"])
+def test_grid_too_fine_to_hold_is_refused_before_output(tmp_path, capsys, subcommand):
+    # 5.5e13 points over the 55 kyr curve: calibrate and spd wrote manifest.json,
+    # then exited 3 with an _ArrayMemoryError; dpmm exited 3 before the manifest
+    out = tmp_path / "run"
+    args = [subcommand, SITE, "--curve", SITE_CURVE, "--out", str(out), "--resolution", "1e-9"]
+    assert main(args + (["--iters", "20"] if subcommand == "dpmm" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("carbcal: error: --resolution 1e-09: ") and "Traceback" not in err, err
+    assert "physical memory" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", ["calibrate", "spd", "dpmm"])
 def test_age_whose_square_overflows_is_a_plain_data_error(tmp_path, capsys, subcommand):
     # the residual of an age of 1e155 squares to inf: a numpy overflow warning

@@ -386,6 +386,15 @@ def _polya_sweep_cases():
         [500.0, 490.0, 510.0, 505.0, 495.0, 500.0, 498.0, 502.0, 1300.0, 503.0, 497.0], labels,
         [5000.0, 500.0, 5000.0], [30.0**-2] * 3,
     )
+    # Dates 0, 1 and 399 lie far from every cluster and from each other, so
+    # each sweep opens a cluster at the first date, whose terms every later
+    # date reads, one at the next date, and one at the last, which no date reads.
+    yield "edges", fixed_theta_state(
+        [3000.0, 8000.0, *np.linspace(400.0, 600.0, 397), -2000.0], np.arange(400) % 4,
+        [420.0, 480.0, 540.0, 600.0], [30.0**-2] * 4,
+    )
+    # One date empties its own cluster, so every sweep opens one and drops one.
+    yield "one", fixed_theta_state([500.0], [0], [500.0], [1e-4])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -393,18 +402,21 @@ def test_polya_sweep_matches_per_date_reference(seed):
     # One sweep must reproduce n calls of the per-date reference step bit for
     # bit: labels, cluster parameters and the generator's state after it.
     hyper = simple_hyper()
-    events = {}
+    events, opened_at = {}, {}
     for name, state in _polya_sweep_cases():
         ref = copy.deepcopy(state)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         opened = closed = 0
+        opened_at[name] = set()
         for _ in range(3):
             polya_reallocate(state, hyper, rng)
             for i in range(len(ref.theta)):
-                k = ref.n_clusters
+                k, phi_before = ref.n_clusters, ref.phi.tolist()
                 oracles.ref_polya_reallocate_one(ref, i, hyper, ref_rng)
                 opened += ref.n_clusters > k
                 closed += ref.n_clusters < k
+                if ref.phi[-1] not in phi_before:  # a fresh draw: date i opened a cluster
+                    opened_at[name].add(i)
             assert state.c.tolist() == ref.c.tolist(), name
             assert state.phi.tobytes() == ref.phi.tobytes(), name
             assert state.tau.tobytes() == ref.tau.tobytes(), name
@@ -418,6 +430,8 @@ def test_polya_sweep_matches_per_date_reference(seed):
     assert events["opens"][0] > 0
     assert events["closes"][1] > 0
     assert events["mixture"][0] > 0 and events["mixture"][1] > 0
+    assert {0, 1, 399} <= opened_at["edges"]
+    assert opened_at["one"] == {0}
     assert events["front"][0] > 0 and events["front"][1] > 0
 
 
