@@ -5,8 +5,10 @@
 Runs one fixed-seed command set with each tree's ``src/`` on its own
 ``PYTHONPATH``, the data files taken from that tree's ``data/``:
 ``calibrate`` and ``spd`` on the bundled dates, ``dpmm`` with each sampler
-and with one and three chains, and ``simulate`` of all three scenario
-families on one and on two worker processes.  The bundled dates all have
+and with one and three chains, ``dpmm`` storing a single sample (so every
+date's age summary comes from one draw) and at ``--resolution 1``, and
+``simulate`` of all three scenario families on one and on two worker
+processes.  The bundled dates all have
 sigma 25, so ``calibrate``, ``spd`` and one walker ``dpmm`` run again on a
 copy of them, written beside the tree's outputs, whose sigmas cycle through
 six values: more than the curve pass keeps variance terms for.  A polya
@@ -55,6 +57,16 @@ COMMANDS = [
         for sampler in ("walker", "polya")
         for chains in (1, 3)
     ],
+    (
+        "dpmm-one-stored",
+        ["dpmm", SITE, "--curve", CURVE, "--iters", "3", "--burn", "2", "--thin", "1",
+         "--seed", "17"],
+    ),
+    (
+        "dpmm-resolution1",
+        ["dpmm", SITE, "--curve", CURVE, "--resolution", "1",
+         "--iters", "200", "--burn", "100", "--thin", "2", "--seed", "17"],
+    ),
     *[
         (
             f"simulate-jobs{jobs}",

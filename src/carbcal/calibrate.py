@@ -369,15 +369,111 @@ def hpd_intervals(grid: DensityGrid, level: float) -> list[tuple[float, float, f
     ]
 
 
-def hpd_from_draws(draws: np.ndarray, resolution: float, level: float):
-    """HPD intervals of sampled values: histogram them onto a grid, then threshold."""
-    lo = math.floor(draws.min() / resolution) * resolution
-    hi = math.ceil(draws.max() / resolution) * resolution
-    edges = np.arange(lo - 0.5 * resolution, hi + resolution, resolution)
-    centres = 0.5 * (edges[:-1] + edges[1:])
-    counts, _ = np.histogram(draws, bins=edges)
-    density = counts / (counts.sum() * resolution)
-    return hpd_intervals(DensityGrid(centres, density, resolution), level)
+#: Draws that :func:`summarise_draws` takes at a time (whole dates, at least
+#: one).  Its temporaries are a few arrays of one block, 128 kB each, so its
+#: memory does not grow with the number of dates.  On a ``dpmm`` run of 1000
+#: dates with 100 stored draws each, blocks of 1 << 13 to 1 << 17 draws took
+#: the same time within 10%; this size left the run's peak RSS within 0.1 MB
+#: of the per-date summaries', and 1 << 16 raised it by 2 MB.
+SUMMARY_BLOCK_DRAWS = 1 << 14
+
+
+def summarise_draws(theta, resolution: float, level: float):
+    """Each date's mean and ``level`` HPD intervals from its draws, in one pass.
+
+    ``theta`` holds one row per stored sample and one column per date.  A
+    date's draws are counted in cells of width ``resolution`` centred on its
+    multiples, from the cell of the smallest draw to that of the largest, and
+    :func:`hpd_intervals` is taken of their histogram density.  Returns
+    ``(mean, date, intervals)``: the mean of each date, and per interval its
+    date's index and its ``(lo, hi, mass)`` row, by date and then by ``lo``.
+
+    The bits are those of ``draws.mean()``, of ``np.histogram`` on the edges
+    ``np.arange(lo - resolution / 2, hi + resolution, resolution)`` and of
+    :func:`hpd_intervals` on that histogram, date by date, but the dates are
+    taken in blocks of ``SUMMARY_BLOCK_DRAWS`` draws with one transpose and
+    sort each.  A level so near 1 that the cells' masses, which sum to 1 less
+    rounding, fall short of it keeps the cells that hold draws, not all cells.
+    """
+    if not 0 < level < 1:
+        raise DataError("HPD level must be in (0, 1)")
+    n_stored, n_dates = theta.shape
+    step = max(1, SUMMARY_BLOCK_DRAWS // n_stored)
+    blocks = [
+        _summarise_block(theta[:, first : first + step].T, first, resolution, level)
+        for first in range(0, n_dates, step)
+    ]
+    mean, date, intervals = zip(*blocks)
+    return np.concatenate(mean), np.concatenate(date), np.concatenate(intervals)
+
+
+def _summarise_block(block, first: int, resolution: float, level: float):
+    """:func:`summarise_draws` of the dates whose draws are the rows of ``block``."""
+    # Each date's draws contiguous, so that a row is summed as ``draws.mean()``
+    # sums a date: a mean across the strides of the transposed view adds in
+    # another order.
+    draws = np.array(block, dtype=float, order="C")
+    mean = draws.mean(axis=1)
+    draws.sort(axis=1)
+    # The edges are np.arange(start, hi + resolution, resolution) per date:
+    # numpy makes point k as ``start + k * delta``, ``delta`` being its second
+    # point less its first.  They reach beyond the smallest and largest draw.
+    start = np.floor(draws[:, 0] / resolution) * resolution - 0.5 * resolution
+    hi = np.ceil(draws[:, -1] / resolution) * resolution
+    last = np.ceil((hi + resolution - start) / resolution).astype(np.int64) - 2  # last cell
+    delta = (start + resolution) - start
+
+    def edge(date, k):
+        return start[date] + k * delta[date]
+
+    # The cell of each draw, as np.histogram's search of the edges finds it:
+    # [edge k, edge k + 1).  The estimate may be a cell off near an edge.
+    date = np.arange(len(draws))[:, None]
+    cell = np.floor((draws - start[date]) / delta[date])
+    cell = np.clip(cell, 0, last[date]).astype(np.int64)
+    while True:
+        down = (cell > 0) & (draws < edge(date, cell))
+        up = (cell < last[date]) & (draws >= edge(date, cell + 1))
+        if not (down.any() or up.any()):
+            break
+        cell += up.view(np.int8) - down.view(np.int8)
+
+    # Run lengths of the sorted cells are the nonzero counts, by date and cell.
+    date = np.broadcast_to(date, draws.shape).ravel()
+    cell = cell.ravel()
+    begins = np.flatnonzero(np.diff(cell, prepend=-1) | np.diff(date, prepend=-1))
+    count = np.diff(begins, append=len(cell))
+    date, cell = date[begins], cell[begins]
+    cell_mass = count / (draws.shape[1] * resolution) * resolution
+
+    # hpd_intervals' order (densest first, ties to the smaller age) and its
+    # cumulative mass, date by date in the rows of ``cum``
+    order = np.lexsort((cell, -count, date))
+    ordered_date = date[order]
+    n_cells = np.bincount(date, minlength=len(draws))
+    rank = np.arange(len(date)) - (np.cumsum(n_cells) - n_cells)[ordered_date]
+    cum = np.zeros((len(draws), n_cells.max()))
+    cum[ordered_date, rank] = cell_mass[order]
+    np.cumsum(cum, axis=1, out=cum)
+    n_keep = np.minimum((cum < level).sum(axis=1) + 1, n_cells)
+    kept = np.zeros(len(date), dtype=bool)
+    kept[order[rank < n_keep[ordered_date]]] = True
+
+    # runs of adjacent kept cells are the intervals
+    date, cell, cell_mass = date[kept], cell[kept], cell_mass[kept]
+    opens = (np.diff(cell, prepend=-2) != 1) | (np.diff(date, prepend=-1) != 0)
+    begins = np.flatnonzero(opens)
+    ends = np.append(begins[1:], len(cell)) - 1
+    # a zero before each interval's cells makes reduceat add them as a slice's sum() does
+    padded = np.zeros(len(cell) + len(begins))
+    padded[np.arange(len(cell)) + np.cumsum(opens)] = cell_mass
+    mass = np.add.reduceat(padded, begins + np.arange(len(begins)))
+
+    def centre(i):
+        return 0.5 * (edge(date[i], cell[i]) + edge(date[i], cell[i] + 1))
+
+    intervals = np.column_stack((centre(begins), centre(ends), mass))
+    return mean, first + date[begins], intervals
 
 
 def map_estimates(dets, curve: CalibrationCurve, coarse_resolution: float = COARSE_RESOLUTION):

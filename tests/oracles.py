@@ -5,6 +5,7 @@ partition enumeration) and deliberately shares no code with the package.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import integrate
@@ -385,3 +386,30 @@ def ref_hpd_intervals(grid, level):
         (float(grid.theta[a]), float(grid.theta[b]), float(cell_mass[a : b + 1].sum()))
         for a, b in intervals
     ]
+
+
+def ref_age_summary_rows(det_ids, theta, resolution, level):
+    """Reference ``age_summaries.csv`` rows of stored draws, one date per loop pass.
+
+    The per-date summary as it stood before the package took every date in
+    one pass: the date's mean, a histogram of its draws on cells of width
+    ``resolution`` centred on its multiples, from the cell of its smallest
+    draw to that of its largest, and the HPD intervals of that histogram
+    (:func:`ref_hpd_intervals`).  ``theta`` holds one row per stored sample
+    and one column per date.  Rows are ``(id, mean, level, lo, hi, mass)``,
+    each date's by ``lo``; the package's file must hold them byte for byte.
+    """
+    rows = []
+    for det_id, draws in zip(det_ids, theta.T):
+        mean = float(draws.mean())
+        lo = math.floor(draws.min() / resolution) * resolution
+        hi = math.ceil(draws.max() / resolution) * resolution
+        edges = np.arange(lo - 0.5 * resolution, hi + resolution, resolution)
+        counts, _ = np.histogram(draws, bins=edges)
+        grid = SimpleNamespace(
+            theta=0.5 * (edges[:-1] + edges[1:]),
+            density=counts / (counts.sum() * resolution),
+            resolution=resolution,
+        )
+        rows += [(det_id, mean, level, *cells) for cells in ref_hpd_intervals(grid, level)]
+    return rows

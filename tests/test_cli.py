@@ -4,17 +4,21 @@ import filecmp
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from carbcal import calibrate, cli
 from carbcal.calcurve import load_curve
 from carbcal.calibrate import calibrate_independent, read_determinations, spd, write_csv
 from carbcal.cli import main
@@ -912,6 +916,83 @@ def test_grid_too_fine_to_hold_is_refused_before_output(tmp_path, capsys, subcom
     assert err.startswith("carbcal: error: --resolution 1e-09: ") and "Traceback" not in err, err
     assert "physical memory" in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["calibrate", "spd"])
+def test_grid_bound_counts_the_formatted_rows(tmp_path, capsys, monkeypatch, subcommand):
+    # 11,001 points at the default 5 yr: 176 kB at the 16 bytes a point once
+    # counted, which passed, but calibrate and spd hold about 2 MB of rows and arrays
+    real = os.sysconf
+    fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1_000_000}
+    monkeypatch.setattr(os, "sysconf", lambda name: fake[name] if name in fake else real(name))
+    dets = write_dets(tmp_path / "dets.csv", [("one", 3000.0, 25.0)])
+    out = tmp_path / "run"
+    assert main([subcommand, dets, "--curve", SITE_CURVE, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("carbcal: error: --resolution 5: 1.1e+04 points, whose rows"), err
+    assert not out.exists()
+
+
+def _summary_draws(rng, n_stored, n_dates, resolution):
+    """Draws of ``n_dates`` dates, each of one of the kinds an age summary must get right."""
+    columns = []
+    for k in range(n_dates):
+        centre = [-740.25, 3150.0, 45678.9][k % 3]  # negative and five-digit ages
+        kind = k % 5
+        if kind == 0:  # continuous, with long runs of cells when there are many draws
+            draws = centre + rng.normal(0.0, 40.0 * resolution, size=n_stored)
+        elif kind == 1:  # two modes: two intervals at least
+            draws = centre + rng.normal(0.0, 2.0 * resolution, size=n_stored)
+            draws[::2] += 50.0 * resolution
+        elif kind == 2:  # one value
+            draws = np.full(n_stored, centre + 0.3 * resolution)
+        elif kind == 3:  # on the cell edges numpy makes, and a float either side of them
+            draws = centre + rng.normal(0.0, 6.0 * resolution, size=n_stored)
+            lo = math.floor(draws.min() / resolution) * resolution
+            hi = math.ceil(draws.max() / resolution) * resolution
+            edges = np.arange(lo - 0.5 * resolution, hi + resolution, resolution)
+            edges = edges[(edges > draws.min()) & (edges < draws.max())]
+            near = np.concatenate([edges, *(np.nextafter(edges, to) for to in (-np.inf, np.inf))])
+            inner = np.argsort(draws)[1:-1]  # the smallest and largest draws keep the edges
+            if len(near):
+                draws[inner] = rng.choice(near, size=len(inner))
+        else:  # on the cell centres, with tied counts
+            cells = np.round(centre / resolution) + rng.integers(-5, 6, size=n_stored)
+            draws = cells * resolution
+        columns.append(draws)
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("resolution", [0.1, 0.3, 0.5, 1.0, 5.0, 20.0])
+def test_age_summaries_match_the_per_date_reference_byte_for_byte(
+    tmp_path, monkeypatch, resolution
+):
+    rng = np.random.default_rng(29)
+    level = cli.HPD_LEVELS[-1]
+    ids = ["a,b", 'q"t', "", "plain", " s p ", "ünï", "x/y", "#1", "e\\", "z"]
+    path = tmp_path / "age_summaries.csv"
+    for n_stored in (1, 2, 9, 400, 3000):
+        # blocks of 4 dates: 3 dates fill less than one, 10 are not a multiple
+        for n_dates, block in ((3, 4), (10, 4), (10, 1)):
+            monkeypatch.setattr(calibrate, "SUMMARY_BLOCK_DRAWS", block * n_stored)
+            theta = _summary_draws(rng, n_stored, n_dates, resolution)
+            samples = SimpleNamespace(det_ids=ids[:n_dates], theta=theta)
+            cli._write_age_summaries(samples, resolution, path)
+            rows = oracles.ref_age_summary_rows(ids[:n_dates], theta, resolution, level)
+            want = io.StringIO()
+            writer = csv.writer(want, lineterminator="\n")
+            writer.writerow(["id", "mean", "level", "lo", "hi", "mass"])
+            writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+            assert path.read_bytes() == want.getvalue().encode(), (n_stored, n_dates, block)
+            mean, date, intervals = calibrate.summarise_draws(theta, resolution, level)
+            mass = np.bincount(date, weights=intervals[:, 2], minlength=n_dates)
+            assert np.all(mass >= level - 1e-12), mass
+            # the library at another level, against the reference cell for cell
+            rows = oracles.ref_age_summary_rows(range(n_dates), theta, resolution, 0.5)
+            mean, date, intervals = calibrate.summarise_draws(theta, resolution, 0.5)
+            mean = mean.tolist()
+            got = [(k, mean[k], 0.5, *cells) for k, cells in zip(date.tolist(), intervals.tolist())]
+            assert repr(got) == repr(rows)
 
 
 @pytest.mark.parametrize("subcommand", ["calibrate", "spd", "dpmm"])
