@@ -16,6 +16,8 @@ six values: more than the curve pass keeps variance terms for.  A polya
 and close many times over.  A polya ``dpmm`` of 150 sweeps also runs on a
 1000-date copy, the bundled rows ten times over with each id suffixed
 ``-k`` for copy k: the size at which the polya sweep's cost is measured.
+``calibrate`` runs at ``--resolution 0.5`` on a copy of the first five
+bundled dates, so that its HPD files hold runs of hundreds of cells.
 Every output file except ``manifest.json`` (which records its output
 directory and input paths) must be byte-identical between the trees.
 Prints each difference and exits 1 if there is any, 0 otherwise.  For a file
@@ -39,9 +41,11 @@ from pathlib import Path
 
 SITE = "data/example_three_phase.csv"
 CURVE = "data/synthetic_curve.14c"
-#: Stand for the paths of the mixed-sigma and 1000-date copies of ``SITE`` in ``COMMANDS``.
+#: Stand for the paths of the mixed-sigma, 1000-date and five-date copies of ``SITE``
+#: in ``COMMANDS``.
 MIXED = "<mixed-sigma copy>"
 TENFOLD = "<1000-date copy>"
+FIRST5 = "<five-date copy>"
 MIXED_SIGMAS = ("17.5", "20", "25", "30", "40", "80")
 
 #: (name, arguments): the ``--out`` directory is added per tree.
@@ -77,6 +81,7 @@ COMMANDS = [
         for jobs in (1, 2)
     ],
     ("calibrate-mixed-sigma", ["calibrate", MIXED, "--curve", CURVE]),
+    ("calibrate-fine", ["calibrate", FIRST5, "--curve", CURVE, "--resolution", "0.5"]),
     ("spd-mixed-sigma", ["spd", MIXED, "--curve", CURVE]),
     (
         "dpmm-walker-mixed-sigma",
@@ -118,8 +123,17 @@ def tenfold_rows(rows):
     return ([f"{row[0]}-{k}", *row[1:]] for k in range(10) for row in rows)
 
 
+def first_five_rows(rows):
+    """The first five of ``rows``."""
+    return rows[:5]
+
+
 #: Placeholder in ``COMMANDS`` -> (file name suffix, rows of the copy).
-COPIES = {MIXED: ("mixed-sigma", mixed_sigma_rows), TENFOLD: ("n1000", tenfold_rows)}
+COPIES = {
+    MIXED: ("mixed-sigma", mixed_sigma_rows),
+    TENFOLD: ("n1000", tenfold_rows),
+    FIRST5: ("first5", first_five_rows),
+}
 
 
 def run_tree(tree: Path, out_root: Path) -> list[str]:

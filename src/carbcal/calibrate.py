@@ -170,8 +170,8 @@ def write_csv(path, header, rows) -> None:
 
     ``rows`` is an iterable of rows, or a 2-D numeric array.  Numbers never
     need quoting, so an array is formatted in blocks of cells without the
-    csv module's per-field work, which would make the 11001-row posterior
-    grids take half as long again to write.
+    csv module's per-field work: the path of a chain's ``theta.csv`` (a row
+    per stored sample, a column per date) and of ``dpmm``'s ``predictive.csv``.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -345,28 +345,53 @@ def spd(dets, curve: CalibrationCurve, resolution: float) -> DensityGrid:
 def hpd_intervals(grid: DensityGrid, level: float) -> list[tuple[float, float, float]]:
     """Highest-posterior-density intervals enclosing ``level`` mass.
 
-    Grid cells are included in descending-density order (ties broken toward
-    smaller calendar age) until the included mass reaches the level; runs of
-    contiguous included cells form the intervals.  Returns a list of
-    (lo, hi, mass) tuples sorted by lo.
+    The cells that hold mass are included in descending-density order (ties
+    broken toward smaller calendar age) until the included mass reaches the
+    level, or all are: a level above their total (within rounding of 1 on a
+    normalised grid) includes no cell of zero density.  Runs of contiguous
+    included cells form the intervals, as (lo, hi, mass) tuples sorted by lo.
     """
     if not 0 < level < 1:
         raise DataError("HPD level must be in (0, 1)")
     if abs(grid.mass - 1.0) > 1e-6:
         raise DataError("hpd_intervals requires a normalized density grid")
+    cell = np.flatnonzero(grid.density > 0)  # the cells that hold mass, all of date 0
+    _, lo, hi, mass = _hpd_runs(0 * cell, cell, grid.density[cell], grid.resolution, level)
+    return list(zip(grid.theta[lo].tolist(), grid.theta[hi].tolist(), mass.tolist()))
 
-    cell_mass = grid.density * grid.resolution
-    order = np.argsort(-grid.density, kind="stable")
-    cum = np.cumsum(cell_mass[order])
-    n_keep = min(int(np.searchsorted(cum, level, side="left")) + 1, len(cum))
-    keep = np.zeros(len(cum), dtype=bool)
-    keep[order[:n_keep]] = True
-    idx = np.flatnonzero(keep)
-    runs = [(r[0], r[-1]) for r in np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)]
-    return [
-        (float(grid.theta[a]), float(grid.theta[b]), float(cell_mass[a : b + 1].sum()))
-        for a, b in runs
-    ]
+
+def _hpd_runs(date, cell, density, resolution: float, level: float):
+    """:func:`hpd_intervals`' runs of the cells of many dates at once.
+
+    ``date`` and ``cell`` list the cells that hold mass, by date and then by
+    cell, and ``density`` their densities on cells of width ``resolution``.
+    Returns per run its date, first and last cell and mass, by date and cell;
+    a run's mass has the bits of its cells' masses summed as one slice.
+    """
+    cell_mass = density * resolution
+    # densest first; lexsort is stable and the cells come in order, so ties go to the smaller
+    order = np.lexsort((-density, date))
+    ordered_date = date[order]
+    n_cells = np.bincount(date)
+    rank = np.arange(len(date)) - (np.cumsum(n_cells) - n_cells)[ordered_date]
+    # the cumulative mass in that order, date by date in the rows of ``cum``
+    cum = np.zeros((len(n_cells), n_cells.max()))
+    cum[ordered_date, rank] = cell_mass[order]
+    np.cumsum(cum, axis=1, out=cum)
+    n_keep = np.minimum((cum < level).sum(axis=1) + 1, n_cells)
+    kept = np.zeros(len(date), dtype=bool)
+    kept[order[rank < n_keep[ordered_date]]] = True
+
+    # runs of adjacent kept cells
+    date, cell, cell_mass = date[kept], cell[kept], cell_mass[kept]
+    opens = (np.diff(cell, prepend=-2) != 1) | (np.diff(date, prepend=-1) != 0)
+    begins = np.flatnonzero(opens)
+    ends = np.append(begins[1:], len(cell)) - 1
+    # a zero before each run's cells makes reduceat add them as a slice's sum() does
+    padded = np.zeros(len(cell) + len(begins))
+    padded[np.arange(len(cell)) + np.cumsum(opens)] = cell_mass
+    mass = np.add.reduceat(padded, begins + np.arange(len(begins)))
+    return date[begins], cell[begins], cell[ends], mass
 
 
 #: Draws that :func:`summarise_draws` takes at a time (whole dates, at least
@@ -393,7 +418,7 @@ def summarise_draws(theta, resolution: float, level: float):
     :func:`hpd_intervals` on that histogram, date by date, but the dates are
     taken in blocks of ``SUMMARY_BLOCK_DRAWS`` draws with one transpose and
     sort each.  A level so near 1 that the cells' masses, which sum to 1 less
-    rounding, fall short of it keeps the cells that hold draws, not all cells.
+    rounding, fall short of it keeps the cells that hold draws and no other.
     """
     if not 0 < level < 1:
         raise DataError("HPD level must be in (0, 1)")
@@ -443,37 +468,11 @@ def _summarise_block(block, first: int, resolution: float, level: float):
     cell = cell.ravel()
     begins = np.flatnonzero(np.diff(cell, prepend=-1) | np.diff(date, prepend=-1))
     count = np.diff(begins, append=len(cell))
-    date, cell = date[begins], cell[begins]
-    cell_mass = count / (draws.shape[1] * resolution) * resolution
+    density = count / (draws.shape[1] * resolution)
+    date, lo, hi, mass = _hpd_runs(date[begins], cell[begins], density, resolution, level)
 
-    # hpd_intervals' order (densest first, ties to the smaller age) and its
-    # cumulative mass, date by date in the rows of ``cum``
-    order = np.lexsort((cell, -count, date))
-    ordered_date = date[order]
-    n_cells = np.bincount(date, minlength=len(draws))
-    rank = np.arange(len(date)) - (np.cumsum(n_cells) - n_cells)[ordered_date]
-    cum = np.zeros((len(draws), n_cells.max()))
-    cum[ordered_date, rank] = cell_mass[order]
-    np.cumsum(cum, axis=1, out=cum)
-    n_keep = np.minimum((cum < level).sum(axis=1) + 1, n_cells)
-    kept = np.zeros(len(date), dtype=bool)
-    kept[order[rank < n_keep[ordered_date]]] = True
-
-    # runs of adjacent kept cells are the intervals
-    date, cell, cell_mass = date[kept], cell[kept], cell_mass[kept]
-    opens = (np.diff(cell, prepend=-2) != 1) | (np.diff(date, prepend=-1) != 0)
-    begins = np.flatnonzero(opens)
-    ends = np.append(begins[1:], len(cell)) - 1
-    # a zero before each interval's cells makes reduceat add them as a slice's sum() does
-    padded = np.zeros(len(cell) + len(begins))
-    padded[np.arange(len(cell)) + np.cumsum(opens)] = cell_mass
-    mass = np.add.reduceat(padded, begins + np.arange(len(begins)))
-
-    def centre(i):
-        return 0.5 * (edge(date[i], cell[i]) + edge(date[i], cell[i] + 1))
-
-    intervals = np.column_stack((centre(begins), centre(ends), mass))
-    return mean, first + date[begins], intervals
+    lo, hi = (0.5 * (edge(date, k) + edge(date, k + 1)) for k in (lo, hi))  # cell centres
+    return mean, first + date, np.column_stack((lo, hi, mass))
 
 
 def map_estimates(dets, curve: CalibrationCurve, coarse_resolution: float = COARSE_RESOLUTION):

@@ -2,11 +2,11 @@
 
 Every subcommand writes a run manifest into the output directory before any
 long computation starts (``_start_run``), so an interrupted run can still be
-reproduced.  Every CSV output is written by ``carbcal.calibrate.write_csv``,
-which quotes fields where needed and formats floats in round-trip form, to
-keep reruns and cross-machine diffs meaningful, or, for calibrated grids,
-by ``carbcal.calibrate.GridWriter``, and for age summaries by
-``_write_age_summaries``, which write the same bytes faster.
+reproduced; a study that fails with a data error takes it back.  Every CSV
+output quotes fields where needed and formats floats in round-trip form, to
+keep reruns and cross-machine diffs meaningful: ``carbcal.calibrate.write_csv``
+writes it, or, with the same bytes faster, ``carbcal.calibrate.GridWriter``
+for calibrated grids and ``_write_age_summaries`` for age summaries.
 Exit codes: 0 success, 1 usage, 2 data error, 3 internal error.
 """
 
@@ -78,6 +78,14 @@ HPD_LEVELS = (0.683, 0.954)
 #: a file's joined text and its encoded copy, and a dozen float arrays.
 CALIBRATE_POINT_BYTES = 224
 SPD_POINT_BYTES = 160
+
+#: Bytes that ``dpmm`` holds per point of its predictive grid beside the
+#: predictive's rows and the copy of them that ``np.quantile`` sorts, 16 bytes
+#: a point and stored sample.  From 1 to 0.1 cal yr on the bundled dates, its
+#: peak RSS grew by 16.0 to 16.8 bytes a point and stored sample with 100 to
+#: 1000 stored samples, and by 150 to 225 bytes a point with one: the grid,
+#: the mean and band, the columns written and one realisation's temporaries.
+PREDICTIVE_POINT_BYTES = 224
 
 #: ``--hyper`` key -> the Hyperparameters field it sets; ``lambda`` sets ``lam``.
 _HYPER_KEYS = {hyper_key(f.name): f for f in fields(Hyperparameters)}
@@ -354,9 +362,8 @@ def _cmd_dpmm(args, parser) -> int:
     )
     _check_storage(args, len(dets), args.chains)
     window = predictive_window(curve, theta_map, resolution)
-    # the predictive density holds one row of the grid per stored sample
     held = f"whose densities for {cfg.n_stored} stored samples"
-    _check_grid(resolution, *window, 8 * cfg.n_stored, held)
+    _check_grid(resolution, *window, 16 * cfg.n_stored + PREDICTIVE_POINT_BYTES, held)
     grid = uniform_grid(*window, resolution)
     if len(grid) < 2:
         raise DataError(
@@ -424,16 +431,24 @@ def _cmd_simulate(args, parser) -> int:
         "thin": args.thin,
         "jobs": args.jobs,
     }
+    fresh = args.out is None or not Path(args.out).exists()
     outdir = _start_run(args, config, seed=args.seed)
-    rows, runs = simstudy.run_study(
-        families,
-        n_values,
-        args.runs,
-        curve,
-        master_seed=args.seed,
-        chain_len=(args.iters, args.burn, args.thin),
-        jobs=args.jobs,
-    )
+    try:
+        rows, runs = simstudy.run_study(
+            families,
+            n_values,
+            args.runs,
+            curve,
+            master_seed=args.seed,
+            chain_len=(args.iters, args.burn, args.thin),
+            jobs=args.jobs,
+        )
+    except CarbcalError:
+        # a study that failed leaves nothing that a rerun would need --force to replace
+        (outdir / "manifest.json").unlink()
+        if fresh:
+            outdir.rmdir()
+        raise
     write_csv(outdir / "results.csv", list(rows[0]), (row.values() for row in rows))
     write_json(outdir / "results.json", {"summary": rows, "runs": [asdict(r) for r in runs]})
     print(f"simulation study ({len(runs)} run(s)) -> {outdir}")

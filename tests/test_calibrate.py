@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
+from carbcal.calcurve import load_curve
 from carbcal.calibrate import (
     DensityGrid,
     Determination,
@@ -30,7 +31,7 @@ from carbcal.calibrate import (
 )
 from carbcal.errors import DataError
 from carbcal.synthetic import write_determination_file
-from conftest import make_flat_curve, make_linear_curve
+from conftest import REPO_ROOT, make_flat_curve, make_linear_curve
 
 
 def test_log_likelihood_matches_scipy_normal_logpdf():
@@ -236,10 +237,11 @@ def test_hpd_matches_brute_force_oracle_bit_identical(synth_curve):
 
 
 def test_hpd_matches_the_run_by_run_reference_on_random_grids():
-    # Small integer densities give ties, zero cells and one-cell runs.
+    # Small integer densities give ties, zero cells and one-cell runs; grids of
+    # up to 3000 cells give runs longer than numpy's 128-element summation block.
     rng = np.random.default_rng(11)
     for _ in range(3000):
-        n_cells = int(rng.integers(1, 60))
+        n_cells = int(rng.integers(1, rng.choice([60, 3000])))
         if rng.random() < 0.5:
             density = rng.integers(0, 4, size=n_cells).astype(float)
         else:
@@ -250,6 +252,32 @@ def test_hpd_matches_the_run_by_run_reference_on_random_grids():
         grid = DensityGrid(100.0 + res * np.arange(n_cells), density, res)
         level = float(rng.uniform(0.01, 0.99))
         assert repr(hpd_intervals(grid, level)) == repr(oracles.ref_hpd_intervals(grid, level))
+
+
+def test_hpd_matches_the_run_by_run_reference_on_the_bundled_dates():
+    curve = load_curve(REPO_ROOT / "data" / "synthetic_curve.14c")
+    dets = read_determinations(REPO_ROOT / "data" / "example_three_phase.csv")
+    for resolution in (0.5, 1.0, 5.0, 20.0):
+        for grid in independent_grids(dets, curve, resolution):
+            for level in (0.5, 0.683, 0.954, 0.999):
+                got, ref = hpd_intervals(grid, level), oracles.ref_hpd_intervals(grid, level)
+                assert repr(got) == repr(ref), (resolution, level)
+
+
+def test_hpd_above_the_mass_of_the_cells_keeps_the_cells_that_hold_mass():
+    # A normalised grid's mass may fall short of 1 by rounding, here 5e-7, and a
+    # level beyond it includes every cell that holds mass but no cell of zero
+    # density: the runs are those of the nonzero cells, as for stored draws.
+    density = np.array([0.0, 1.0, 2.0, 0.0, 0.0, 3.0, 1.0, 0.0, 1.0, 0.0])
+    density *= (1.0 - 5e-7) / density.sum()
+    grid = DensityGrid(1000.0 + np.arange(10.0), density, 1.0)
+    cells = density.tolist()
+    expected = [
+        (1001.0, 1002.0, cells[1] + cells[2]),
+        (1005.0, 1006.0, cells[5] + cells[6]),
+        (1008.0, 1008.0, cells[8]),
+    ]
+    assert hpd_intervals(grid, 1.0 - 1e-7) == expected
 
 
 def test_spd_single_det_equals_independent(synth_curve):

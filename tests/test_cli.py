@@ -833,6 +833,20 @@ def test_simulate_error_names_its_run(tmp_path, capsys):
     assert "identical" in err and "manually" not in err
 
 
+def test_failed_simulate_leaves_no_output(tmp_path, capsys):
+    # run 28 of this study fails; its manifest.json once stayed, so a rerun needed --force
+    out = tmp_path / "sim"
+    args = ["simulate", "--curve", SITE_CURVE, "--out", str(out), "--family", "single_normal"]
+    args += ["--n", "2", "--runs", "60", "--seed", "0", "--iters", "40", "--burn", "20"]
+    args += ["--thin", "1"]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("carbcal: error: simulation run 28 ")
+    assert not out.exists()
+    out.mkdir()  # a directory the run did not make stays, empty
+    assert main(args) == 2
+    assert list(out.iterdir()) == []
+
+
 def test_dpmm_dates_with_one_map_age_name_the_hyper_keys(tmp_path, synth_curve_file, capsys):
     dets = write_dets(tmp_path / "dets.csv", [("a", 3000.0, 30.0), ("b", 3000.0, 30.0)])
     out = tmp_path / "run"
@@ -930,6 +944,21 @@ def test_grid_bound_counts_the_formatted_rows(tmp_path, capsys, monkeypatch, sub
     assert main([subcommand, dets, "--curve", SITE_CURVE, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("carbcal: error: --resolution 5: 1.1e+04 points, whose rows"), err
+    assert not out.exists()
+
+
+def test_predictive_bound_counts_the_quantile_copy(tmp_path, capsys, monkeypatch):
+    # about 1300 points at the default 5 yr and 100 stored samples: 1.0 MB at the
+    # 8 bytes a point and sample once counted, which passed, but np.quantile
+    # copies the predictive's rows, and the run holds over 2 MB
+    real = os.sysconf
+    fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1_500_000}
+    monkeypatch.setattr(os, "sysconf", lambda name: fake[name] if name in fake else real(name))
+    out = tmp_path / "run"
+    args = ["dpmm", SITE, "--curve", SITE_CURVE, "--out", str(out)]
+    assert main(args + ["--iters", "200", "--burn", "100", "--thin", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("carbcal: error: --resolution 5: 1.3e+03 points, whose densities"), err
     assert not out.exists()
 
 
