@@ -23,20 +23,27 @@ directory and input paths) must be byte-identical between the trees.
 Prints each difference and exits 1 if there is any, 0 otherwise.  For a file
 that differs it also prints how many of its cells differ (the text between
 commas, white space and JSON brackets) and the largest relative difference
-among cells that are normal floats in both files.  Standard library only,
-so it runs against any checkout.
+among cells that are normal floats in both files.  For a ``.json`` or
+``.jsonl`` file that differs it also names each top-level key whose values
+differ and each key present in one tree only, with the number of records
+(lines of a ``.jsonl`` file) where that holds: a planned change of a JSON
+output, such as a field dropped from ``clusters.jsonl``, then reads as
+``key `c` only in A`` and nothing else.  Standard library only, so it runs
+against any checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 SITE = "data/example_three_phase.csv"
@@ -169,8 +176,11 @@ def compare(out_a: Path, out_b: Path) -> list[str]:
     for rel in sorted(files_a.keys() & files_b.keys()):
         bytes_a, bytes_b = files_a[rel].read_bytes(), files_b[rel].read_bytes()
         if bytes_a != bytes_b:
-            cell_diff = cell_differences(bytes_a.decode(), bytes_b.decode())
-            problems.append(f"differs: {rel} ({cell_diff})")
+            text_a, text_b = bytes_a.decode(), bytes_b.decode()
+            detail = cell_differences(text_a, text_b)
+            if rel.endswith((".json", ".jsonl")):
+                detail += key_differences(text_a, text_b, rel.endswith(".jsonl"))
+            problems.append(f"differs: {rel} ({detail})")
     return problems
 
 
@@ -204,6 +214,36 @@ def cell_differences(text_a: str, text_b: str) -> str:
         f"{len(differing)} of {len(cells_a)} cells differ; "
         f"largest relative difference among normal floats {largest}"
     )
+
+
+def key_differences(text_a: str, text_b: str, lines: bool) -> str:
+    """The top-level keys whose values differ and the keys in one file only, as
+    ``"; key `k` only in A (n of m records)"`` items; ``lines`` for JSON lines."""
+    try:
+        records_a, records_b = (
+            [json.loads(line) for line in text.splitlines() if line.strip()]
+            if lines
+            else [json.loads(text)]
+            for text in (text_a, text_b)
+        )
+    except ValueError:
+        return "; not valid JSON"
+    found = Counter()
+    for rec_a, rec_b in zip(records_a, records_b):  # each record carbcal writes is an object
+        for key in rec_a.keys() | rec_b.keys():
+            if key not in rec_b:
+                found[key, "only in A"] += 1
+            elif key not in rec_a:
+                found[key, "only in B"] += 1
+            elif json.dumps(rec_a[key]) != json.dumps(rec_b[key]):  # as text: NaN equals NaN
+                found[key, "differs"] += 1
+    items = [
+        f"; key `{key}` {how} ({n} of {len(records_a)} records)"
+        for (key, how), n in sorted(found.items())
+    ]
+    if len(records_a) != len(records_b):
+        items.append(f"; {len(records_a)} records against {len(records_b)}")
+    return "".join(items)
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,7 @@ published IntCal distributions do, are normalised to ascending order.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,8 +115,7 @@ def load_curve(path) -> CalibrationCurve:
     skipped.  Parse failures, and the failures of :class:`CalibrationCurve`'s
     checks, raise :class:`CurveFormatError` naming the offending line.
     """
-    rows = []
-    lines = []
+    cal, mean, sd, lines = array("d"), array("d"), array("d"), array("q")
     try:
         fh = open(path, encoding="latin-1")
     except OSError as exc:
@@ -135,7 +135,9 @@ def load_curve(path) -> CalibrationCurve:
                     line=lineno,
                 )
             try:
-                rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
+                cal.append(float(parts[0]))
+                mean.append(float(parts[1]))
+                sd.append(float(parts[2]))
             except ValueError as exc:
                 # Parse the stripped fields again, so the message quotes the bad token bare.
                 for part in parts[:3]:
@@ -146,15 +148,14 @@ def load_curve(path) -> CalibrationCurve:
                         break
                 raise CurveFormatError(f"unparseable number: {exc}", path=path, line=lineno)
             lines.append(lineno)
-    if len(rows) < 2:
+    if len(cal) < 2:
         raise CurveFormatError("curve file has fewer than 2 data rows", path=path)
 
-    data = np.asarray(rows, dtype=float)
-    linenos = np.asarray(lines)
-    if data[0, 0] > data[-1, 0]:
-        data = data[::-1]
-        linenos = linenos[::-1]
+    columns = [np.frombuffer(column) for column in (cal, mean, sd)]
+    if cal[0] > cal[-1]:
+        columns = [column[::-1] for column in columns]
+        lines = lines[::-1]
     try:
-        return CalibrationCurve(data[:, 0], data[:, 1], data[:, 2], source=str(path))
+        return CalibrationCurve(*columns, source=str(path))
     except CurveFormatError as exc:
-        raise CurveFormatError(exc.message, path=path, line=int(linenos[exc.knot])) from None
+        raise CurveFormatError(exc.message, path=path, line=lines[exc.knot]) from None

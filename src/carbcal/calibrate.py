@@ -169,16 +169,17 @@ def write_csv(path, header, rows) -> None:
     """Write a CSV file: fields quoted where needed, floats in round-trip form.
 
     ``rows`` is an iterable of rows, or a 2-D numeric array.  Numbers never
-    need quoting, so an array is formatted in blocks of cells without the
-    csv module's per-field work: the path of a chain's ``theta.csv`` (a row
-    per stored sample, a column per date) and of ``dpmm``'s ``predictive.csv``.
+    need quoting, so an array is formatted without the csv module's
+    per-field work, in blocks of whole rows of about 4096 cells: the path of
+    a chain's ``theta.csv`` (a row per stored sample, a column per date) and
+    of ``dpmm``'s ``predictive.csv``.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         if isinstance(rows, np.ndarray):
             width = rows.shape[1]
-            step = 1 + (1 << 16) // width
+            step = 1 + (1 << 12) // width
             for start in range(0, len(rows), step):
                 cells = map(repr, rows[start : start + step].ravel().tolist())
                 # zip over ``width`` references to one iterator groups the cells by row

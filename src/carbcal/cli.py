@@ -80,12 +80,12 @@ CALIBRATE_POINT_BYTES = 224
 SPD_POINT_BYTES = 160
 
 #: Bytes that ``dpmm`` holds per point of its predictive grid beside the
-#: predictive's rows and the copy of them that ``np.quantile`` sorts, 16 bytes
-#: a point and stored sample.  From 1 to 0.1 cal yr on the bundled dates, its
-#: peak RSS grew by 16.0 to 16.8 bytes a point and stored sample with 100 to
-#: 1000 stored samples, and by 150 to 225 bytes a point with one: the grid,
-#: the mean and band, the columns written and one realisation's temporaries.
-PREDICTIVE_POINT_BYTES = 224
+#: predictive's rows, 8 bytes a point and stored sample, whose band is taken
+#: in place.  From 1 to 0.2 or 0.1 cal yr on the bundled dates, its peak RSS
+#: grew by 8 bytes a point and stored sample and 98 to 120 bytes a point more,
+#: with 1 to 1000 stored samples: the grid, the mean and band, the columns
+#: written and one realisation's temporaries.
+PREDICTIVE_POINT_BYTES = 128
 
 #: ``--hyper`` key -> the Hyperparameters field it sets; ``lambda`` sets ``lam``.
 _HYPER_KEYS = {hyper_key(f.name): f for f in fields(Hyperparameters)}
@@ -260,13 +260,13 @@ def _check_memory(need: float, what: str) -> None:
 def _check_storage(args, n_dates: int, chains: int, processes: int = 1) -> None:
     """Refuse a run whose stored draws, held at once, exceed physical memory.
 
-    A chain stores an age and a label, 16 bytes, per stored sample and date.
+    A chain stores an age, 8 bytes, per stored sample and date.
     ``run_chains`` holds the draws of one lockstep batch at once: of
     ``chains`` chains of ``n_dates`` dates, as many as fit in ``BATCH_DATES``
     dates, and at least one.  Each of ``processes`` processes holds a batch.
     """
     held = min(chains, max(1, BATCH_DATES // n_dates)) * processes
-    need = 16 * ((args.iters - args.burn) // args.thin) * n_dates * held
+    need = 8 * ((args.iters - args.burn) // args.thin) * n_dates * held
     _check_memory(
         need,
         f"--iters {args.iters}, --burn {args.burn} and --thin {args.thin}: "
@@ -363,7 +363,7 @@ def _cmd_dpmm(args, parser) -> int:
     _check_storage(args, len(dets), args.chains)
     window = predictive_window(curve, theta_map, resolution)
     held = f"whose densities for {cfg.n_stored} stored samples"
-    _check_grid(resolution, *window, 16 * cfg.n_stored + PREDICTIVE_POINT_BYTES, held)
+    _check_grid(resolution, *window, 8 * cfg.n_stored + PREDICTIVE_POINT_BYTES, held)
     grid = uniform_grid(*window, resolution)
     if len(grid) < 2:
         raise DataError(

@@ -135,9 +135,10 @@ class ChainConfig:
 
 @dataclass
 class ClusterSample:
-    """Mixture snapshot kept for one stored iteration."""
+    """Mixture snapshot kept for one stored iteration: each cluster's mean,
+    precision and date count, the stick weights (``None`` for polya), the
+    concentration and the centring.  The dates' labels are not kept."""
 
-    c: np.ndarray
     phi: np.ndarray
     tau: np.ndarray
     counts: np.ndarray
@@ -178,6 +179,7 @@ class PosteriorSamples:
 
     @classmethod
     def load(cls, directory) -> "PosteriorSamples":
+        """Read a directory ``save`` wrote; the labels (``c``) older versions wrote are skipped."""
         directory = Path(directory)
         with open(directory / "config.json", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -196,7 +198,6 @@ class PosteriorSamples:
                 rec = json.loads(line)
                 clusters.append(
                     ClusterSample(
-                        c=np.asarray(rec["c"], dtype=np.int64),
                         phi=np.asarray(rec["phi"], dtype=float),
                         tau=np.asarray(rec["tau"], dtype=float),
                         counts=np.asarray(rec["counts"], dtype=np.int64),
@@ -634,7 +635,6 @@ def expected_clusters(alpha: float, n: int) -> float:
 
 def _store_snapshot(state: DpmmState) -> ClusterSample:
     return ClusterSample(
-        c=state.c.copy(),
         phi=state.phi.copy(),
         tau=state.tau.copy(),
         counts=state.occupancy(),

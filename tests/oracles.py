@@ -4,6 +4,8 @@ Everything here is derived from first principles (Beta/Gamma integrals,
 partition enumeration) and deliberately shares no code with the package.
 """
 
+import csv
+import io
 import math
 from types import SimpleNamespace
 
@@ -292,6 +294,17 @@ def ref_predictive_mixture(w, phi, tau, grid):
     return out
 
 
+def ref_predictive_band(rows):
+    """Reference pointwise 95% band of a predictive's normalised rows: ``(lo, hi)``.
+
+    The two ``np.quantile`` calls as they stood before the package took both
+    edges from one partition of the rows, in place.  Each call sorts a copy,
+    so ``rows`` is left as it was.  The package's band must equal this bit
+    for bit.
+    """
+    return np.quantile(rows, 0.025, axis=0), np.quantile(rows, 0.975, axis=0)
+
+
 def ref_three_phase_density(theta, phases):
     """Reference density of a mixture given as (weight, mean, sd) triples, one per pass."""
     theta = np.asarray(theta, dtype=float)
@@ -413,3 +426,18 @@ def ref_age_summary_rows(det_ids, theta, resolution, level):
         )
         rows += [(det_id, mean, level, *cells) for cells in ref_hpd_intervals(grid, level)]
     return rows
+
+
+def ref_write_csv(header, rows) -> bytes:
+    """Reference bytes of a CSV file of numeric ``rows``, through the csv module row by row.
+
+    The path ``write_csv`` takes for rows that are not an array: every cell
+    is ``repr(float(v))``, and the csv module writes the header and the
+    rows, each line ended by ``"\n"``.  The package's array path, which
+    formats blocks of cells without the csv module, must write these bytes.
+    """
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) for v in row] for row in rows)
+    return buf.getvalue().encode("utf-8")

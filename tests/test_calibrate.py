@@ -574,6 +574,27 @@ def test_write_csv_array_blocks_match_rows(tmp_path):
     assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
+@pytest.mark.parametrize("width", [1, 3, 4, 100, 1000, 5000])
+def test_write_csv_array_path_matches_the_row_path_around_a_block(tmp_path, width):
+    # write_csv formats an array in blocks of 1 + 4096 // width rows: a row fewer
+    # than a block, one block, and a row more, with signed zeros, the smallest
+    # subnormal, a huge value and integral floats among the cells
+    block = 1 + (1 << 12) // width
+    rng = np.random.default_rng(width)
+    header = [f"d{k}" for k in range(width)]
+    for n_rows in (block - 1, block, block + 1):
+        values = rng.normal(4000.0, 300.0, size=(n_rows, width))
+        cells = values.reshape(-1)
+        integral = rng.random(cells.size) < 0.1
+        cells[integral] = np.round(cells[integral])
+        special = [-0.0, 0.0, 5e-324, 1e308, -1e308, 3.0, -1200.0, 45000.0]
+        where = rng.permutation(cells.size)[: 2 * len(special)]
+        cells[where] = np.resize(special, len(where))
+        path = tmp_path / f"{n_rows}.csv"
+        write_csv(path, header, values)
+        assert path.read_bytes() == oracles.ref_write_csv(header, values.tolist()), n_rows
+
+
 _grid_densities = st.lists(
     st.one_of(
         st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1.0]),

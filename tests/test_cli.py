@@ -894,10 +894,11 @@ def test_chain_too_large_to_store_is_refused_before_output(tmp_path, capsys, sub
 @pytest.mark.parametrize(
     "subcommand, extra, memory, held",
     [
-        # 100 stored samples of the 100 bundled dates: 160 kB a chain
-        ("dpmm", [SITE, "--resolution", "50", "--chains", "3"], 320_000, 3),
-        # 8 kB a chain of 5 dates; each of 2 workers holds its run's 2 chains
-        ("simulate", ["--n", "5", "--runs", "2", "--jobs", "2"], 24_000, 4),
+        # 100 stored samples of the 100 bundled dates: 80 kB a chain, 240 kB for 3
+        # (and about 130 points of predictive grid at 1 kB each, for the one-chain run)
+        ("dpmm", [SITE, "--resolution", "50", "--chains", "3"], 200_000, 3),
+        # 4 kB a chain of 5 dates; each of 2 workers holds its run's 2 chains: 16 kB
+        ("simulate", ["--n", "5", "--runs", "2", "--jobs", "2"], 12_000, 4),
     ],
 )
 def test_batch_too_large_to_store_is_refused_before_output(
@@ -947,19 +948,25 @@ def test_grid_bound_counts_the_formatted_rows(tmp_path, capsys, monkeypatch, sub
     assert not out.exists()
 
 
-def test_predictive_bound_counts_the_quantile_copy(tmp_path, capsys, monkeypatch):
-    # about 1300 points at the default 5 yr and 100 stored samples: 1.0 MB at the
-    # 8 bytes a point and sample once counted, which passed, but np.quantile
-    # copies the predictive's rows, and the run holds over 2 MB
+def test_predictive_bound_counts_the_rows_once(tmp_path, capsys, monkeypatch):
+    # about 1300 points at the default 5 yr and 100 stored samples: the band is
+    # taken from the predictive's rows in place, so the run needs 8 bytes a point
+    # and sample and 128 more a point, 1.2 MB; 16 bytes a point and sample, the
+    # rows and the copy np.quantile once sorted, would be 2.4 MB
     real = os.sysconf
-    fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1_500_000}
+    fake = {"SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", lambda name: fake[name] if name in fake else real(name))
     out = tmp_path / "run"
     args = ["dpmm", SITE, "--curve", SITE_CURVE, "--out", str(out)]
-    assert main(args + ["--iters", "200", "--burn", "100", "--thin", "1"]) == 2
+    args += ["--iters", "200", "--burn", "100", "--thin", "1"]
+    fake["SC_PHYS_PAGES"] = 1_100_000
+    assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("carbcal: error: --resolution 5: 1.3e+03 points, whose densities"), err
     assert not out.exists()
+    fake["SC_PHYS_PAGES"] = 1_500_000
+    assert main(args) == 0
+    assert (out / "predictive.csv").exists()
 
 
 def _summary_draws(rng, n_stored, n_dates, resolution):

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 import oracles
+from carbcal import predictive
 from carbcal.calibrate import Hyperparameters
 from carbcal.dpmm import ClusterSample, base_marginal
 from carbcal.errors import DataError
@@ -24,13 +25,10 @@ def hyper():
 
 
 def polya_sample(counts, phi, tau, alpha, mu_phi=500.0):
-    counts = np.asarray(counts, dtype=np.int64)
-    labels = np.repeat(np.arange(len(counts)), counts)
     return ClusterSample(
-        c=labels,
         phi=np.asarray(phi, dtype=float),
         tau=np.asarray(tau, dtype=float),
-        counts=counts,
+        counts=np.asarray(counts, dtype=np.int64),
         w=None,
         alpha=alpha,
         mu_phi=mu_phi,
@@ -39,7 +37,6 @@ def polya_sample(counts, phi, tau, alpha, mu_phi=500.0):
 
 def walker_sample(w, phi, tau, counts, alpha=1.0, mu_phi=500.0):
     return ClusterSample(
-        c=np.repeat(np.arange(len(counts)), counts),
         phi=np.asarray(phi, dtype=float),
         tau=np.asarray(tau, dtype=float),
         counts=np.asarray(counts, dtype=np.int64),
@@ -171,6 +168,51 @@ def test_mean_curve_normalised_and_band_ordered():
     # grid-sum convention, as used for every DensityGrid in the package
     assert pred.mean.sum() * 1.0 == pytest.approx(1.0, abs=1e-6)
     assert np.all(pred.lo <= pred.hi)
+
+
+def _normalised_rows(realisations, spacing):
+    """The rows ``predictive_density`` takes its band from: each realisation over its grid sum."""
+    return np.array([row / (row.sum() * spacing) for row in realisations])
+
+
+@pytest.mark.filterwarnings("ignore:predictive built from only")
+def test_band_is_the_two_quantile_calls_on_random_rows(monkeypatch):
+    # each snapshot stands in for its own realisation, so the rows can be any arrays
+    monkeypatch.setattr(predictive, "predictive_realisation", lambda snap, hyper, grid: snap.copy())
+    rng = np.random.default_rng(26)
+    for case in range(300):
+        # stored counts log-uniform over 1 to 2000: as many small sets as large ones
+        n_stored, points = int(np.exp(rng.uniform(0.0, math.log(2001)))), int(rng.integers(2, 601))
+        raw = rng.gamma(0.5, 1.0, size=(n_stored, points))
+        if case % 2:  # ties within a column: coarse values, and repeated rows
+            raw = np.round(raw, 1)[rng.integers(0, 1 + n_stored // 4, size=n_stored)]
+        raw[rng.random(raw.shape) < rng.random()] = 0.0
+        raw[raw.sum(axis=1) == 0.0, rng.integers(points)] = 1.0
+        grid = 1000.0 + 0.5 * np.arange(points)
+        pred = predictive_density(FakeSamples(list(raw)), hyper(), grid)
+        lo, hi = oracles.ref_predictive_band(_normalised_rows(raw, 0.5))
+        assert repr(pred.lo.tolist()) == repr(lo.tolist()), case
+        assert repr(pred.hi.tolist()) == repr(hi.tolist()), case
+
+
+def test_band_is_the_two_quantile_calls_on_a_walker_run():
+    from carbcal.calibrate import default_hyperparameters, map_estimates, read_determinations
+    from carbcal.calcurve import load_curve
+    from carbcal.dpmm import ChainConfig, run_chain
+    from conftest import REPO_ROOT
+
+    curve = load_curve(REPO_ROOT / "data" / "synthetic_curve.14c")
+    dets = read_determinations(REPO_ROOT / "data" / "example_three_phase.csv")
+    theta_map = map_estimates(dets, curve)
+    h = default_hyperparameters(dets, curve, theta_map=theta_map)
+    cfg = ChainConfig(n_iter=300, n_burn=100, thin=2, sampler="walker", seed=26, hyper=h)
+    samples = run_chain(dets, curve, cfg, theta_map)
+    grid = default_predictive_grid(curve, theta_map, 5.0)
+    pred = predictive_density(samples, h, grid)
+    rows = [predictive_realisation(snap, h, grid) for snap in samples.clusters]
+    lo, hi = oracles.ref_predictive_band(_normalised_rows(rows, grid[1] - grid[0]))
+    assert repr(pred.lo.tolist()) == repr(lo.tolist())
+    assert repr(pred.hi.tolist()) == repr(hi.tolist())
 
 
 def test_predictive_warns_on_few_samples():
