@@ -8,8 +8,9 @@ Runs one fixed-seed command set with each tree's ``src/`` on its own
 and with one and three chains, ``dpmm`` storing a single sample (so every
 date's age summary comes from one draw) and at ``--resolution 1``, and
 ``simulate`` of all three scenario families on one and on two worker
-processes.  The bundled dates all have
-sigma 25, so ``calibrate``, ``spd`` and one walker ``dpmm`` run again on a
+processes, and of two families on three workers (more workers than runs of
+one size, so that one worker gets runs of both sizes).  The bundled dates
+all have sigma 25, so ``calibrate``, ``spd`` and one walker ``dpmm`` run again on a
 copy of them, written beside the tree's outputs, whose sigmas cycle through
 six values: more than the curve pass keeps variance terms for.  A polya
 ``dpmm`` of 1000 sweeps on that copy runs long enough for clusters to open
@@ -87,6 +88,12 @@ COMMANDS = [
         )
         for jobs in (1, 2)
     ],
+    (
+        "simulate-uneven-jobs3",
+        ["simulate", "--curve", CURVE, "--family", "single_normal,uniform", "--n", "12,30",
+         "--runs", "1", "--iters", "120", "--burn", "60", "--thin", "2", "--seed", "5",
+         "--jobs", "3"],
+    ),
     ("calibrate-mixed-sigma", ["calibrate", MIXED, "--curve", CURVE]),
     ("calibrate-fine", ["calibrate", FIRST5, "--curve", CURVE, "--resolution", "0.5"]),
     ("spd-mixed-sigma", ["spd", MIXED, "--curve", CURVE]),

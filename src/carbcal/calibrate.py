@@ -13,7 +13,8 @@ import functools
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+import os
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -217,6 +218,30 @@ class GridWriter:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write("cal_age,density\n")
             fh.write("".join(rows))
+
+
+#: Bytes that ``calibrate`` and ``spd`` hold per point of their grid.  Their
+#: peak RSS grew by up to 220 and 154 bytes a point from 0.4 to 0.1 cal yr on
+#: the 55 kyr bundled curve, with one date and with 100.  Most of it is the
+#: row string ``GridWriter`` keeps per point (about 70 bytes, in two lists),
+#: a file's joined text and its encoded copy, and a dozen float arrays.
+CALIBRATE_POINT_BYTES = 224
+SPD_POINT_BYTES = 160
+
+
+def check_memory(need: float, what: str) -> None:
+    """Refuse a run whose ``what`` need ``need`` bytes, more than physical memory holds."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise DataError(
+            f"{what} need {need / 2**30:.3g} GiB; physical memory is {have / 2**30:.3g} GiB"
+        )
+
+
+def check_grid(resolution: float, lo: float, hi: float, point_bytes: float, held: str) -> None:
+    """Refuse a grid over ``[lo, hi]`` of ``point_bytes`` a point; ``held`` says what they hold."""
+    points = (hi - lo) / resolution + 1
+    check_memory(point_bytes * points, f"--resolution {resolution:g}: {points:.3g} points, {held}")
 
 
 def write_json(path, payload) -> None:
@@ -536,6 +561,24 @@ def default_hyperparameters(dets, curve: CalibrationCurve, theta_map=None) -> Hy
         eta2=1.0,
         slice_width=float(max(0.5 * (q75 - q25), 50.0)),
     )
+
+
+def resolve_hyperparameters(path, dets, curve: CalibrationCurve, overrides: dict):
+    """Hyperparameters and coarse MAP ages of a ``dpmm`` run: the adaptive defaults
+    overridden field by field, or a fully manual set.  A manual set skips the checks on
+    the dates' spread, whose errors name the determinations file ``path``, but not the
+    refusal of a date with no likelihood mass, which ``map_estimates`` makes, naming its row.
+    """
+    required = [f.name for f in fields(Hyperparameters) if f.default is MISSING]
+    theta_map = map_estimates(dets, curve)
+    try:
+        hyper = default_hyperparameters(dets, curve, theta_map=theta_map)
+    except DataError as exc:
+        if not set(required) <= overrides.keys():
+            keys = ", ".join(map(hyper_key, required))
+            raise DataError(f"{path}: {exc}; give --hyper values for {keys}") from None
+        return Hyperparameters(**overrides), theta_map
+    return replace(hyper, **overrides), theta_map
 
 
 def prior_cluster_sd_quantile(hyper: Hyperparameters, q: float) -> float:

@@ -1,12 +1,12 @@
 """Command-line surface: calibrate, spd, dpmm, simulate.
 
-Every subcommand writes a run manifest into the output directory before any
-long computation starts (``_start_run``), so an interrupted run can still be
-reproduced; a study that fails with a data error takes it back.  Every CSV
-output quotes fields where needed and formats floats in round-trip form, to
-keep reruns and cross-machine diffs meaningful: ``carbcal.calibrate.write_csv``
-writes it, or, with the same bytes faster, ``carbcal.calibrate.GridWriter``
-for calibrated grids and ``_write_age_summaries`` for age summaries.
+This module parses arguments and orders each subcommand's steps.  Bad input,
+and a run too large for physical memory (by bounds that live beside the
+arrays they count), are refused before any output; then ``_start_run``
+writes a run manifest, so an interrupted run can still be reproduced, and a
+study that fails with a data error takes it back.  CSV outputs quote fields
+where needed and format floats in round-trip form (``calibrate.write_csv``,
+``calibrate.GridWriter`` and, for age summaries, ``_write_age_summaries``).
 Exit codes: 0 success, 1 usage, 2 data error, 3 internal error.
 """
 
@@ -23,7 +23,7 @@ import sys
 import time
 import traceback
 import warnings
-from dataclasses import MISSING, asdict, fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -32,37 +32,29 @@ import numpy as np
 import carbcal
 from carbcal.calcurve import load_curve
 from carbcal.calibrate import (
+    CALIBRATE_POINT_BYTES,
     COARSE_RESOLUTION,
+    SPD_POINT_BYTES,
     DensityGrid,
     GridWriter,
     Hyperparameters,
-    default_hyperparameters,
+    check_grid,
     default_resolution,
     hpd_intervals,
     hyper_key,
     independent_grids,
     map_estimates,
     read_determinations,
+    resolve_hyperparameters,
     spd,
     summarise_draws,
     uniform_grid,
     write_csv,
     write_json,
 )
-from carbcal.dpmm import (
-    BATCH_DATES,
-    SAMPLERS,
-    ChainConfig,
-    check_chain_length,
-    run_chain,
-    run_chains,
-)
+from carbcal.dpmm import ChainConfig, check_storage, run_chain, run_chains
 from carbcal.errors import CarbcalError, DataError
-from carbcal.predictive import (
-    cluster_count_posterior,
-    predictive_density,
-    predictive_window,
-)
+from carbcal.predictive import cluster_count_posterior, predictive_density, predictive_grid
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,22 +62,6 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 HPD_LEVELS = (0.683, 0.954)
-
-#: Bytes that ``calibrate`` and ``spd`` hold per point of their grid.  Their
-#: peak RSS grew by up to 220 and 154 bytes a point from 0.4 to 0.1 cal yr on
-#: the 55 kyr bundled curve, with one date and with 100.  Most of it is the
-#: row string ``GridWriter`` keeps per point (about 70 bytes, in two lists),
-#: a file's joined text and its encoded copy, and a dozen float arrays.
-CALIBRATE_POINT_BYTES = 224
-SPD_POINT_BYTES = 160
-
-#: Bytes that ``dpmm`` holds per point of its predictive grid beside the
-#: predictive's rows, 8 bytes a point and stored sample, whose band is taken
-#: in place.  From 1 to 0.2 or 0.1 cal yr on the bundled dates, its peak RSS
-#: grew by 8 bytes a point and stored sample and 98 to 120 bytes a point more,
-#: with 1 to 1000 stored samples: the grid, the mean and band, the columns
-#: written and one realisation's temporaries.
-PREDICTIVE_POINT_BYTES = 128
 
 #: ``--hyper`` key -> the Hyperparameters field it sets; ``lambda`` sets ``lam``.
 _HYPER_KEYS = {hyper_key(f.name): f for f in fields(Hyperparameters)}
@@ -198,29 +174,6 @@ def _by_key(dets, key, clash: str) -> dict:
     return by_key
 
 
-def _resolve_hyper(path, dets, curve, overrides: dict):
-    """Hyperparameters and coarse MAP ages of a ``dpmm`` run.
-
-    The hyperparameters are the adaptive defaults overridden field by field,
-    or a fully manual set.  The MAP ages are computed once, here, and the
-    run reuses them.  A fully manual set skips the checks on the spread of
-    the dates, whose errors name the determinations file ``path``, but not
-    the refusal of a date with no likelihood mass, which ``map_estimates``
-    makes and which names the date's row.
-    """
-    required = [f.name for f in fields(Hyperparameters) if f.default is MISSING]
-    theta_map = map_estimates(dets, curve)
-    try:
-        hyper = default_hyperparameters(dets, curve, theta_map=theta_map)
-    except DataError as exc:
-        if not set(required) <= overrides.keys():
-            keys = ", ".join(map(hyper_key, required))
-            raise DataError(f"{path}: {exc}; give --hyper values for {keys}") from None
-        hyper = None
-    hyper = Hyperparameters(**overrides) if hyper is None else replace(hyper, **overrides)
-    return hyper, theta_map
-
-
 def _add_common(parser, needs_dets=True):
     if needs_dets:
         parser.add_argument("determinations", help="CSV file: id,c14_age,c14_sig")
@@ -248,38 +201,6 @@ def _require_curve(args, parser):
     return load_curve(args.curve)
 
 
-def _check_memory(need: float, what: str) -> None:
-    """Refuse a run whose ``what`` need ``need`` bytes, more than physical memory holds."""
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise DataError(
-            f"{what} need {need / 2**30:.3g} GiB; physical memory is {have / 2**30:.3g} GiB"
-        )
-
-
-def _check_storage(args, n_dates: int, chains: int, processes: int = 1) -> None:
-    """Refuse a run whose stored draws, held at once, exceed physical memory.
-
-    A chain stores an age, 8 bytes, per stored sample and date.
-    ``run_chains`` holds the draws of one lockstep batch at once: of
-    ``chains`` chains of ``n_dates`` dates, as many as fit in ``BATCH_DATES``
-    dates, and at least one.  Each of ``processes`` processes holds a batch.
-    """
-    held = min(chains, max(1, BATCH_DATES // n_dates)) * processes
-    need = 8 * ((args.iters - args.burn) // args.thin) * n_dates * held
-    _check_memory(
-        need,
-        f"--iters {args.iters}, --burn {args.burn} and --thin {args.thin}: "
-        f"the draws of {held} chain(s) held at once",
-    )
-
-
-def _check_grid(resolution: float, lo: float, hi: float, point_bytes: float, held: str) -> None:
-    """Refuse a grid over ``[lo, hi]`` of ``point_bytes`` a point; ``held`` says what they hold."""
-    points = (hi - lo) / resolution + 1
-    _check_memory(point_bytes * points, f"--resolution {resolution:g}: {points:.3g} points, {held}")
-
-
 def _resolution(args, curve) -> float:
     """``--resolution``, or the default grid spacing for the curve's span."""
     if args.resolution is None:
@@ -299,7 +220,7 @@ def _cmd_calibrate(args, parser) -> int:
     clash = "would write {key}_posterior.csv, as would {first}"
     by_stem = _by_key(dets, lambda det: _safe_id(det.id), clash)
     resolution = _resolution(args, curve)
-    _check_grid(resolution, *curve.support, CALIBRATE_POINT_BYTES, "whose rows and densities")
+    check_grid(resolution, *curve.support, CALIBRATE_POINT_BYTES, "whose rows and densities")
     # refuses a date off the grid before any output; at a resolution coarser
     # than the MAP grid, the grid written is the one to check
     map_estimates(dets, curve, max(COARSE_RESOLUTION, resolution))
@@ -317,7 +238,7 @@ def _cmd_spd(args, parser) -> int:
     curve = _require_curve(args, parser)
     dets = read_determinations(args.determinations)
     resolution = _resolution(args, curve)
-    _check_grid(resolution, *curve.support, SPD_POINT_BYTES, "whose rows and densities")
+    check_grid(resolution, *curve.support, SPD_POINT_BYTES, "whose rows and densities")
     map_estimates(dets, curve, max(COARSE_RESOLUTION, resolution))  # as in _cmd_calibrate
     outdir = _start_run(args, {"resolution": resolution})
     grid = spd(dets, curve, resolution)
@@ -350,7 +271,7 @@ def _cmd_dpmm(args, parser) -> int:
     dets = read_determinations(args.determinations)
     _by_key(dets, lambda det: det.id, "repeats {first}; dpmm needs one row per determination")
     overrides = _parse_hyper_overrides(args.hyper)
-    hyper, theta_map = _resolve_hyper(args.determinations, dets, curve, overrides)
+    hyper, theta_map = resolve_hyperparameters(args.determinations, dets, curve, overrides)
     resolution = _resolution(args, curve)
     cfg = ChainConfig(
         n_iter=args.iters,
@@ -360,25 +281,18 @@ def _cmd_dpmm(args, parser) -> int:
         seed=args.seed,
         hyper=hyper,
     )
-    _check_storage(args, len(dets), args.chains)
-    window = predictive_window(curve, theta_map, resolution)
-    held = f"whose densities for {cfg.n_stored} stored samples"
-    _check_grid(resolution, *window, 8 * cfg.n_stored + PREDICTIVE_POINT_BYTES, held)
-    grid = uniform_grid(*window, resolution)
-    if len(grid) < 2:
-        raise DataError(
-            f"--resolution {resolution:g} is wider than the predictive window around "
-            "the dates' MAP ages; the predictive grid needs at least 2 points"
-        )
+    check_storage(args.iters, args.burn, args.thin, [[len(dets)] * args.chains])
+    grid = predictive_grid(curve, theta_map, resolution, cfg.n_stored)
     config = asdict(cfg)
     config.update(resolution=resolution, chains=args.chains)
     outdir = _start_run(args, config, seed=args.seed)
     if args.chains == 1:  # run_chain: the one-chain case of run_chains
-        chains = [run_chain(dets, curve, cfg, theta_map)]
+        chains = iter([run_chain(dets, curve, cfg, theta_map)])
     else:
         jobs = [(dets, replace(cfg, seed=cfg.seed + k), theta_map) for k in range(args.chains)]
         chains = run_chains(jobs, curve)
-    for k, samples in enumerate(chains):
+    for k in range(args.chains):
+        samples = next(chains)  # its one reference, deleted before the next batch runs
         suffix = "" if args.chains == 1 else f"_chain{k}"
         samples.save(outdir / f"samples{suffix}")
         pred = predictive_density(samples, hyper, grid)
@@ -393,6 +307,7 @@ def _cmd_dpmm(args, parser) -> int:
             cluster_count_posterior(samples).items(),
         )
         _write_age_summaries(samples, resolution, outdir / f"age_summaries{suffix}.csv")
+        del samples
     print(f"dpmm ({args.sampler}) on {len(dets)} determination(s) -> {outdir}")
     return EXIT_OK
 
@@ -417,11 +332,8 @@ def _cmd_simulate(args, parser) -> int:
         repeated = next((v for k, v in enumerate(items) if v in items[:k]), None)
         if repeated is not None:
             parser.error(f"argument {option}: {repeated!r} is given more than once")
-    check_chain_length(args.iters, args.burn, args.thin)
-    # run_study deals the runs of the largest --n out to its workers in turn
-    largest = args.runs * len(families)
-    workers = min(args.jobs, largest)
-    _check_storage(args, max(n_values), len(SAMPLERS) * (largest // workers), workers)
+    chain_len = (args.iters, args.burn, args.thin)
+    simstudy.check_study_storage(families, n_values, args.runs, chain_len, args.jobs)
     config = {
         "families": families,
         "n_values": n_values,
@@ -440,7 +352,7 @@ def _cmd_simulate(args, parser) -> int:
             args.runs,
             curve,
             master_seed=args.seed,
-            chain_len=(args.iters, args.burn, args.thin),
+            chain_len=chain_len,
             jobs=args.jobs,
         )
     except CarbcalError:

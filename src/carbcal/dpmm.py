@@ -44,6 +44,7 @@ from carbcal.calcurve import CalibrationCurve
 from carbcal.calibrate import (
     LOG_2PI,
     Hyperparameters,
+    check_memory,
     log_likelihood,
     map_estimates,
     write_csv,
@@ -652,6 +653,33 @@ def _store_snapshot(state: DpmmState) -> ClusterSample:
 BATCH_DATES = 1000
 
 
+def _batches(chains):
+    """The lockstep batches ``run_chains`` makes of ``(dates, shape, chain)`` triples."""
+    batch, total, batch_shape = [], 0, None
+    for n, shape, chain in chains:
+        if batch and (total + n > BATCH_DATES or shape != batch_shape):
+            yield batch
+            batch, total = [], 0
+        batch.append(chain)
+        total, batch_shape = total + n, shape
+    if batch:
+        yield batch
+
+
+def check_storage(n_iter: int, n_burn: int, thin: int, workers) -> None:
+    """Refuse chains whose stored draws, held at once, exceed physical memory.
+
+    ``workers`` lists, per process, the dates of each chain, all of one shape, that it
+    passes to ``run_chains`` in order, dropping each before it asks for the next: it holds
+    8 bytes a stored sample and date (``_Chain.stored_theta``) of its largest batch.
+    """
+    check_chain_length(n_iter, n_burn, thin)
+    held = [max(_batches((n, None, n) for n in sizes), key=sum, default=[]) for sizes in workers]
+    need = 8 * ((n_iter - n_burn) // thin) * sum(map(sum, held))
+    chains = f"the draws of {sum(map(len, held))} chain(s) held at once"
+    check_memory(need, f"--iters {n_iter}, --burn {n_burn} and --thin {thin}: {chains}")
+
+
 class _Chain:
     """One chain of a batch: its inputs, generator, state and stored samples."""
 
@@ -740,17 +768,8 @@ def run_chains(jobs, curve: CalibrationCurve):
     Yields each chain's :class:`PosteriorSamples`, in the order of
     ``jobs``, one batch at a time.
     """
-    batch, dates = [], 0
-    for job in jobs:
-        n, cfg = len(job[0]), job[1]
-        shape = (cfg.n_iter, cfg.hyper.slice_max_steps)
-        if batch and (dates + n > BATCH_DATES or shape != batch_shape):
-            yield from _run_batch(batch, curve)
-            batch, dates = [], 0
-        batch.append(job)
-        dates += n
-        batch_shape = shape
-    if batch:
+    chains = ((len(job[0]), (job[1].n_iter, job[1].hyper.slice_max_steps), job) for job in jobs)
+    for batch in _batches(chains):
         yield from _run_batch(batch, curve)
 
 

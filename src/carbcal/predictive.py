@@ -18,6 +18,7 @@ import numpy as np
 
 from carbcal.calibrate import (
     Hyperparameters,
+    check_grid,
     median_abs_deviation,
     normal_mixture_density,
     uniform_grid,
@@ -101,19 +102,32 @@ def predictive_density(
     return PredictiveDensity(theta=grid, mean=mean, lo=lo, hi=hi)
 
 
-def predictive_window(curve, theta_map, resolution: float) -> tuple[float, float]:
-    """Ends of the default predictive grid: the preliminary MAP ages padded
-    by four spread units, inside the curve's support."""
+#: Bytes that ``dpmm`` holds per point of its predictive grid beside the
+#: predictive's rows, 8 bytes a point and stored sample, whose band is taken
+#: in place.  From 1 to 0.2 or 0.1 cal yr on the bundled dates, its peak RSS
+#: grew by 8 bytes a point and stored sample and 98 to 120 bytes a point more,
+#: with 1 to 1000 stored samples: the grid, the mean and band, the columns
+#: written and one realisation's temporaries.
+PREDICTIVE_POINT_BYTES = 128
+
+
+def predictive_grid(curve, theta_map, resolution: float, n_stored: int) -> np.ndarray:
+    """Grid of a ``dpmm`` run's predictive: the MAP ages padded by four spread units, inside
+    the curve's support.  Refuses one whose points and the predictive's rows of
+    ``n_stored`` stored samples exceed physical memory, then one of fewer than 2 points."""
     theta_map = np.asarray(theta_map, dtype=float)
-    mad = median_abs_deviation(theta_map)
-    pad = 4.0 * mad if mad > 0 else 4.0 * resolution
+    pad = 4.0 * (median_abs_deviation(theta_map) or resolution)
     lo_s, hi_s = curve.support
-    return max(theta_map.min() - pad, lo_s), min(theta_map.max() + pad, hi_s)
-
-
-def default_predictive_grid(curve, theta_map, resolution: float) -> np.ndarray:
-    """Grid covering the preliminary MAP ages padded by four spread units."""
-    return uniform_grid(*predictive_window(curve, theta_map, resolution), resolution)
+    lo, hi = max(theta_map.min() - pad, lo_s), min(theta_map.max() + pad, hi_s)
+    held = f"whose densities for {n_stored} stored samples"
+    check_grid(resolution, lo, hi, 8 * n_stored + PREDICTIVE_POINT_BYTES, held)
+    grid = uniform_grid(lo, hi, resolution)
+    if len(grid) < 2:
+        raise DataError(
+            f"--resolution {resolution:g} is wider than the predictive window around "
+            "the dates' MAP ages; the predictive grid needs at least 2 points"
+        )
+    return grid
 
 
 def cluster_count_posterior(samples: PosteriorSamples) -> dict[int, float]:

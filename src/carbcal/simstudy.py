@@ -9,6 +9,7 @@ against the known truth quantify the improvement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from carbcal.calibrate import (
     independent_grids,
     map_estimates,
 )
-from carbcal.dpmm import SAMPLERS, ChainConfig, run_chains
+from carbcal.dpmm import SAMPLERS, ChainConfig, check_storage, run_chains
 from carbcal.errors import DataError
 from carbcal.synthetic import sample_determinations
 
@@ -227,6 +228,7 @@ def _execute_runs(tasks) -> list[RunResult]:
                 loss = float(np.mean(losses))
                 result.dpmm_loss[f"{sampler}_{kind}"] = loss
                 result.improvement[f"{sampler}_{kind}"] = improvement(loss, result.indep_loss[kind])
+            del samples  # not held while the next lockstep batch runs
     return [run.result for run in prepared]
 
 
@@ -255,6 +257,22 @@ def summarise(runs: list[RunResult]) -> list[dict]:
     return rows
 
 
+def _deal(tasks, jobs: int) -> list[list]:
+    """The runs of each of ``jobs`` workers, at most one per run: ordered by n and
+    dealt out in turn, so each worker gets a like share of every size and family."""
+    workers = max(1, min(jobs, len(tasks)))
+    by_n = sorted(tasks, key=lambda task: task[1])
+    return [by_n[w::workers] for w in range(workers)]
+
+
+def check_study_storage(families, n_values, n_runs: int, chain_len, jobs: int) -> None:
+    """Refuse a study whose workers' stored draws, held at once, exceed physical memory:
+    its runs dealt as ``run_study`` deals them, each with one chain per sampler."""
+    runs = [(family, n) for family, n, _ in product(families, n_values, range(n_runs))]
+    chunks = _deal(runs, jobs)
+    check_storage(*chain_len, [[n for _, n in chunk for _ in SAMPLERS] for chunk in chunks])
+
+
 def run_study(
     families,
     n_values,
@@ -268,29 +286,23 @@ def run_study(
 
     Runs are independent, seeded as master XOR a global run index, and each
     chain reproduces alone, so the result is identical whether executed
-    serially or in parallel.  ``jobs`` workers, at most one per run, share
-    the runs: ordered by n, they are dealt out in turn, so each worker gets
-    a like share of every size and family.
+    serially or in parallel.  ``jobs`` workers share the runs (``_deal``).
     """
-    tasks = []
-    run_index = 0
     for family in families:
         if family not in FAMILIES:
             raise DataError(f"unknown scenario family {family!r}; choose from {FAMILIES}")
-        for n in n_values:
-            for _ in range(n_runs):
-                tasks.append((family, n, run_index, master_seed ^ run_index, curve, chain_len))
-                run_index += 1
-    workers = min(jobs, len(tasks))
-    if workers > 1:
+    tasks = [
+        (family, n, k, master_seed ^ k, curve, chain_len)
+        for k, (family, n, _) in enumerate(product(families, n_values, range(n_runs)))
+    ]
+    chunks = _deal(tasks, jobs)
+    if len(chunks) > 1:
         # imported here: it loads multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        by_n = sorted(tasks, key=lambda task: task[1])
-        chunks = [by_n[w::workers] for w in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             runs = [run for chunk in pool.map(_execute_runs, chunks) for run in chunk]
-        runs.sort(key=lambda run: run.run_index)
     else:
-        runs = _execute_runs(tasks)
+        runs = _execute_runs(chunks[0])
+    runs.sort(key=lambda run: run.run_index)
     return summarise(runs), runs

@@ -36,6 +36,15 @@ def intcal20():
     return load_curve(path)
 
 
+@pytest.fixture
+def physical_memory(monkeypatch):
+    """``physical_memory(n)`` makes carbcal's memory bounds read ``n`` bytes of physical memory."""
+    real = os.sysconf
+    fake = {"SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", lambda name: fake[name] if name in fake else real(name))
+    return lambda n: fake.update(SC_PHYS_PAGES=n)
+
+
 @pytest.fixture(scope="session")
 def synth_curve():
     """IntCal-like synthetic curve over the full 0-55 kyr range."""

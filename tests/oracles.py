@@ -441,3 +441,43 @@ def ref_write_csv(header, rows) -> bytes:
     writer.writerow(header)
     writer.writerows([repr(float(v)) for v in row] for row in rows)
     return buf.getvalue().encode("utf-8")
+
+
+def ref_study_held(families, n_values, n_runs, jobs, batch_dates, chains_per_run=2):
+    """(chains, dates) whose stored draws a simulation study's workers hold at once.
+
+    Read straight from the study's rules: runs are made family by family,
+    each family's n values in order, ``n_runs`` runs each.  They are ordered
+    by n (a stable sort), and of ``jobs`` workers (at most one a run),
+    worker w takes every ``workers``-th run from the w-th.  Each
+    run makes ``chains_per_run`` chains of n dates, in order, and a worker
+    runs its chains in batches: a chain joins the open batch if the batch
+    stays within ``batch_dates`` dates, else it starts a new one.  A worker
+    holds the draws of its batch of most dates (the first such), and all
+    workers hold theirs at once.
+    """
+    sizes = []
+    for family in families:
+        for n in n_values:
+            for run in range(n_runs):
+                sizes.append(n)
+    workers = min(jobs, len(sizes))
+    dealt = [[] for _ in range(workers)]
+    for k, n in enumerate(sorted(sizes)):
+        dealt[k % workers].append(n)
+    held_chains = held_dates = 0
+    for runs in dealt:
+        batches = []
+        for n in runs:
+            for _ in range(chains_per_run):
+                if batches and sum(batches[-1]) + n <= batch_dates:
+                    batches[-1].append(n)
+                else:
+                    batches.append([n])
+        best = []
+        for batch in batches:
+            if sum(batch) > sum(best):
+                best = batch
+        held_chains += len(best)
+        held_dates += sum(best)
+    return held_chains, held_dates

@@ -38,8 +38,8 @@ from carbcal.dpmm import (
 )
 from carbcal.predictive import (
     cluster_count_posterior,
-    default_predictive_grid,
     predictive_density,
+    predictive_grid,
 )
 from carbcal.simstudy import run_study
 from carbcal.slicesample import SliceConfig, slice_sample
@@ -329,12 +329,12 @@ def three_phase_fixture(reference_curve):
     dets, truth = three_phase_determinations(reference_curve, n=100, seed=3)
     hyper = default_hyperparameters(dets, reference_curve)
     theta_map = map_estimates(dets, reference_curve)
-    grid = default_predictive_grid(reference_curve, theta_map, 5.0)
-    out = {"dets": dets, "truth": truth, "hyper": hyper, "grid": grid}
     cfgs = [
         ChainConfig(n_iter=50_000, n_burn=25_000, thin=5, sampler=sampler, seed=42, hyper=hyper)
         for sampler in ("polya", "walker")
     ]
+    grid = predictive_grid(reference_curve, theta_map, 5.0, cfgs[0].n_stored)
+    out = {"dets": dets, "truth": truth, "hyper": hyper, "grid": grid}
     # one lockstep batch; each chain draws what it draws when run alone
     for cfg, samples in zip(cfgs, run_chains([(dets, cfg, None) for cfg in cfgs], reference_curve)):
         out[cfg.sampler] = {

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from carbcal import calibrate, cli
+from carbcal import calibrate, cli, dpmm
 from carbcal.calcurve import load_curve
 from carbcal.calibrate import calibrate_independent, read_determinations, spd, write_csv
 from carbcal.cli import main
@@ -899,6 +900,10 @@ def test_chain_too_large_to_store_is_refused_before_output(tmp_path, capsys, sub
         ("dpmm", [SITE, "--resolution", "50", "--chains", "3"], 200_000, 3),
         # 4 kB a chain of 5 dates; each of 2 workers holds its run's 2 chains: 16 kB
         ("simulate", ["--n", "5", "--runs", "2", "--jobs", "2"], 12_000, 4),
+        # 3 runs on 2 workers: one holds 2 runs' 4 chains, the other 2: 24 kB
+        ("simulate", ["--n", "5", "--runs", "3", "--jobs", "2"], 20_000, 6),
+        # one run of 5 dates and one of 10 on 2 workers: 2 chains of each, 24 kB
+        ("simulate", ["--n", "5,10", "--runs", "1", "--jobs", "2"], 20_000, 4),
     ],
 )
 def test_batch_too_large_to_store_is_refused_before_output(
@@ -919,6 +924,26 @@ def test_batch_too_large_to_store_is_refused_before_output(
     if subcommand == "dpmm":
         assert main(args[:-2]) == 0  # the same run with one chain
 
+
+
+def test_dpmm_chains_are_not_held_past_their_batch(tmp_path, monkeypatch):
+    # each chain of the 100 bundled dates its own lockstep batch: the output loop
+    # kept a batch's last chain alive while the next batch ran, one chain more
+    # than the stored-draws bound counts
+    monkeypatch.setattr(dpmm, "BATCH_DATES", 100)
+    run_batch = dpmm._run_batch
+    returned, alive = [], []
+
+    def spy(batch, curve):
+        alive.append(sum(ref() is not None for ref in returned))
+        samples = run_batch(batch, curve)
+        returned.extend(weakref.ref(s.theta) for s in samples)
+        return samples
+
+    monkeypatch.setattr(dpmm, "_run_batch", spy)
+    args = ["dpmm", SITE, "--curve", SITE_CURVE, "--out", str(tmp_path / "run"), "--chains", "3"]
+    assert main(args + ["--iters", "20", "--burn", "10", "--thin", "1"]) == 0
+    assert alive == [0, 0, 0]
 
 @pytest.mark.parametrize("subcommand", ["calibrate", "spd", "dpmm"])
 def test_grid_too_fine_to_hold_is_refused_before_output(tmp_path, capsys, subcommand):

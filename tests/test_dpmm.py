@@ -941,6 +941,29 @@ def test_run_chains_splits_at_the_batch_cap(synth_curve, monkeypatch):
         assert_same_chain(samples, run_chain(d, synth_curve, cfg))
 
 
+
+def test_storage_bound_counts_the_largest_lockstep_batch(physical_memory):
+    import carbcal.dpmm as dpmm
+
+    # 4 chains of 300 dates run as batches of 3 and 1 under the 1000-date cap:
+    # 3 chains' draws are held at once, 240 kB each at 100 stored samples
+    assert dpmm.BATCH_DATES == 1000
+    physical_memory(3 * 240_000)
+    dpmm.check_storage(110, 10, 1, [[300] * 4])
+    physical_memory(3 * 240_000 - 1)
+    message = r"^--iters 110, --burn 10 and --thin 1: the draws of 3 chain\(s\) held at once"
+    with pytest.raises(DataError, match=message):
+        dpmm.check_storage(110, 10, 1, [[300] * 4])
+    # two processes with two chains each hold all four
+    physical_memory(4 * 240_000 - 1)
+    with pytest.raises(DataError, match=r"the draws of 4 chain\(s\)"):
+        dpmm.check_storage(110, 10, 1, [[300] * 2, [300] * 2])
+    # a chain over the cap runs alone
+    physical_memory(8 * 100 * 1500)
+    dpmm.check_storage(110, 10, 1, [[1500] * 3])
+    with pytest.raises(DataError, match="--burn 20 must be at least 0 and below --iters 10"):
+        dpmm.check_storage(10, 20, 1, [[5]])
+
 def test_run_chains_refuses_a_start_with_no_finite_density(synth_curve):
     dets, hyper = chain_setup(synth_curve)
     cfg = ChainConfig(n_iter=5, n_burn=1, thin=1, sampler="walker", seed=0, hyper=hyper)

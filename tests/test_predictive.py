@@ -12,8 +12,8 @@ from carbcal.errors import DataError
 from carbcal.predictive import (
     _mixture_weights,
     cluster_count_posterior,
-    default_predictive_grid,
     predictive_density,
+    predictive_grid,
     predictive_realisation,
 )
 
@@ -207,7 +207,7 @@ def test_band_is_the_two_quantile_calls_on_a_walker_run():
     h = default_hyperparameters(dets, curve, theta_map=theta_map)
     cfg = ChainConfig(n_iter=300, n_burn=100, thin=2, sampler="walker", seed=26, hyper=h)
     samples = run_chain(dets, curve, cfg, theta_map)
-    grid = default_predictive_grid(curve, theta_map, 5.0)
+    grid = predictive_grid(curve, theta_map, 5.0, cfg.n_stored)
     pred = predictive_density(samples, h, grid)
     rows = [predictive_realisation(snap, h, grid) for snap in samples.clusters]
     lo, hi = oracles.ref_predictive_band(_normalised_rows(rows, grid[1] - grid[0]))
@@ -277,9 +277,29 @@ def test_mean_stable_under_thinning_refinement(synth_curve):
 
 def test_default_grid_spans_map_ages(synth_curve):
     theta_map = np.array([3100.0, 3300.0, 3500.0])
-    grid = default_predictive_grid(synth_curve, theta_map, 5.0)
+    grid = predictive_grid(synth_curve, theta_map, 5.0, 100)
     assert grid[0] <= 3100.0 - 4 * 200.0 + 5.0
     assert grid[-1] >= 3500.0 + 4 * 200.0 - 5.0
     lo, hi = synth_curve.support
     assert grid[0] >= lo and grid[-1] <= hi
     assert np.allclose(np.diff(grid), 5.0)
+
+
+def test_predictive_grid_refuses_in_order(synth_curve, physical_memory):
+    # MAP ages 3100-3500 yr with a median absolute deviation of 200 yr: the
+    # window is 2300-4300 yr, 401 points at 5 yr
+    physical_memory(10**9)
+    theta_map = np.array([3100.0, 3300.0, 3500.0])
+    assert len(predictive_grid(synth_curve, theta_map, 5.0, 100)) == 401
+    cases = [
+        # too many points to hold, whatever the stored samples
+        (1e-6, 1, r"^--resolution 1e-06: 2e\+09 points, whose densities for 1 stored samples need"),
+        # few points, but too many stored samples' rows
+        (5.0, 10**6, r"^--resolution 5: 401 points, whose densities for 1000000 stored samples"),
+        # one point: refused, but only once the bound has passed
+        (1e5, 1, r"^--resolution 100000 is wider than the predictive window .* at least 2 points"),
+        (1e5, 10**9, r"^--resolution 100000: 1\.02 points, whose densities for 1000000000 stored"),
+    ]
+    for resolution, n_stored, message in cases:
+        with pytest.raises(DataError, match=message):
+            predictive_grid(synth_curve, theta_map, resolution, n_stored)

@@ -1,5 +1,7 @@
 import math
+import weakref
 from dataclasses import asdict
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from carbcal.simstudy import (
     flat_curve_flag,
     gen_scenario,
     grid_loss,
+    check_study_storage,
     improvement,
     posterior_loss,
     run_study,
@@ -181,3 +184,48 @@ def test_run_study_same_results_for_any_jobs_and_batch_cap(synth_curve, monkeypa
     # a cap below two chains' dates splits the study's chains into many batches
     monkeypatch.setattr(dpmm, "BATCH_DATES", 9)
     assert study(1) == serial
+
+
+def test_study_storage_bound_counts_what_the_workers_hold(physical_memory):
+    import carbcal.dpmm as dpmm
+
+    # the counts checked by hand: 5 runs of 200 dates on 2 workers hold 5 + 4
+    # chains; runs of 50 and 100 dates on 2 workers hold 2 chains of each
+    assert oracles.ref_study_held(["uniform"], [200], 5, 2, 1000) == (9, 1800)
+    assert oracles.ref_study_held(["uniform"], [50, 100], 1, 2, 1000) == (4, 300)
+    # 100 stored samples: 800 bytes a date
+    chain_len = (110, 10, 1)
+    grid = product(
+        [["uniform"], list(FAMILIES)],
+        [[5], [200], [50, 100], [100, 50], [400, 30, 700], [1200, 5]],
+        [1, 3, 5],
+        [1, 2, 3, 7],
+    )
+    for families, n_values, n_runs, jobs in grid:
+        case = (families, n_values, n_runs, jobs)
+        chains, dates = oracles.ref_study_held(*case, dpmm.BATCH_DATES)
+        physical_memory(800 * dates)
+        check_study_storage(families, n_values, n_runs, chain_len, jobs)
+        physical_memory(800 * dates - 1)
+        with pytest.raises(DataError, match=rf"the draws of {chains} chain\(s\) held at once"):
+            check_study_storage(families, n_values, n_runs, chain_len, jobs)
+
+
+def test_study_holds_no_chain_past_its_batch(synth_curve, monkeypatch):
+    import carbcal.dpmm as dpmm
+
+    # each chain of 5 dates its own lockstep batch: no chain of a batch may
+    # still be alive when the next batch starts
+    monkeypatch.setattr(dpmm, "BATCH_DATES", 5)
+    run_batch = dpmm._run_batch
+    returned, alive = [], []
+
+    def spy(batch, curve):
+        alive.append(sum(ref() is not None for ref in returned))
+        samples = run_batch(batch, curve)
+        returned.extend(weakref.ref(s.theta) for s in samples)
+        return samples
+
+    monkeypatch.setattr(dpmm, "_run_batch", spy)
+    run_study(["uniform"], [5], 2, synth_curve, master_seed=3, chain_len=(20, 10, 2))
+    assert alive == [0, 0, 0, 0]
